@@ -24,11 +24,11 @@ fn main() {
     let gc = mcgc_core::Gc::new(cfg);
     let before = FenceStats::snapshot();
     let objects_before = gc.heap().objects_allocated();
-    let barrier_before = gc.heap().cards().dirty_store_count();
+    let barrier_before = gc.write_barriers();
     let report = jbb::run(&gc, &opts);
     let fences = FenceStats::snapshot().since(&before);
     let objects = gc.heap().objects_allocated() - objects_before;
-    let barriers = gc.heap().cards().dirty_store_count() - barrier_before;
+    let barriers = gc.write_barriers() - barrier_before;
     let marked: u64 = report.log.cycles.iter().map(|c| c.live_after_objects).sum();
     let handshakes: u64 = report.log.cycles.iter().map(|c| c.handshakes).sum();
     let mutators = report.threads as u64;

@@ -285,6 +285,9 @@ pub struct Gc {
     /// (a `bg.death` fault or shutdown decrements it; watched by
     /// `gc_top`).
     pub(crate) bg_alive: AtomicUsize,
+    /// Write-barrier executions, flushed by mutators per poll period and
+    /// on drop (see [`Gc::write_barriers`]).
+    write_barriers: AtomicU64,
 }
 
 impl Gc {
@@ -340,6 +343,7 @@ impl Gc {
             shutdown_flag: AtomicBool::new(false),
             handshake_epoch: AtomicU64::new(0),
             bg_alive: AtomicUsize::new(0),
+            write_barriers: AtomicU64::new(0),
             heap,
             config,
         });
@@ -594,6 +598,19 @@ impl Gc {
             self.mutators.lock().push(Arc::clone(&shared));
         }
         Mutator::new(Arc::clone(self), shared)
+    }
+
+    /// Write-barrier executions ([`Mutator::write_ref`] calls) so far.
+    /// A mutator adds its count once per safepoint-poll period of
+    /// barriers and the remainder when it drops, so the barrier itself
+    /// stays one relaxed card store (§5) and the total is exact once
+    /// every mutator has dropped.
+    pub fn write_barriers(&self) -> u64 {
+        self.write_barriers.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn count_write_barriers(&self, n: u64) {
+        self.write_barriers.fetch_add(n, Ordering::Relaxed);
     }
 
     pub(crate) fn deregister_mutator(&self, shared: &Arc<MutatorShared>) {
@@ -1444,9 +1461,13 @@ impl Gc {
                     break;
                 }
                 claims += 1;
-                for &card in &cards[i..(i + STRIPE).min(cards.len())] {
+                let stripe = &cards[i..(i + STRIPE).min(cards.len())];
+                for &card in stripe {
                     local += self.clean_one_card(card, &mut buf, true);
                 }
+                self.counters
+                    .cards_cleaned_stw
+                    .fetch_add(stripe.len() as u64, Ordering::Relaxed);
             }
             buf.finish();
             scanned.fetch_add(local, Ordering::Relaxed);
@@ -1576,14 +1597,45 @@ impl Gc {
     }
 
     fn drain_marking_worker(&self) {
+        // Prefetch FIFO depth: an object popped now is scanned this many
+        // pops later, which gives the prefetch of its header time to land
+        // (§4.1: packets make the next objects known early).
+        const PREFETCH_DEPTH: usize = 8;
+        let mut fifo = VecDeque::with_capacity(PREFETCH_DEPTH + 1);
         loop {
             let mut buf = WorkBuffer::new(&self.pool);
             let mut did_work = false;
-            while let Some(obj) = buf.pop() {
-                did_work = true;
-                let bytes = self.trace_object_stw(obj, &mut buf);
-                self.counters.traced_stw.fetch_add(bytes, Ordering::Relaxed);
+            let mut traced = 0u64;
+            // §4.3 termination cannot fire while the FIFO holds
+            // objects: they came out of this buffer's input packet, and a
+            // buffer that has popped keeps an input packet until
+            // `finish()` (pop replaces it get-before-return), so the
+            // Empty pool stays one short of the total. The FIFO is
+            // flushed before `finish()` and the termination check.
+            loop {
+                match buf.pop() {
+                    Some(obj) => {
+                        did_work = true;
+                        self.heap.prefetch(obj);
+                        fifo.push_back(obj);
+                        if fifo.len() > PREFETCH_DEPTH {
+                            let ready = fifo.pop_front().expect("FIFO over depth");
+                            traced += self.trace_object_stw(ready, &mut buf);
+                        }
+                    }
+                    None if fifo.is_empty() => break,
+                    // Out of input: flush. The scans may push children,
+                    // so pop again afterwards.
+                    None => {
+                        while let Some(ready) = fifo.pop_front() {
+                            traced += self.trace_object_stw(ready, &mut buf);
+                        }
+                    }
+                }
             }
+            self.counters
+                .traced_stw
+                .fetch_add(traced, Ordering::Relaxed);
             self.tel
                 .on_packet_claims(buf.input_claims(), buf.output_claims());
             buf.finish();

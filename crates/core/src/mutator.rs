@@ -173,6 +173,7 @@ impl Mutator {
         self.writes_since_poll += 1;
         if self.writes_since_poll >= WRITE_POLL_PERIOD {
             self.writes_since_poll = 0;
+            self.gc.count_write_barriers(WRITE_POLL_PERIOD.into());
             self.poll();
         }
     }
@@ -443,6 +444,7 @@ impl Escalation {
 
 impl Drop for Mutator {
     fn drop(&mut self) {
+        self.gc.count_write_barriers(self.writes_since_poll.into());
         self.gc.deregister_mutator(&self.shared);
     }
 }

@@ -58,8 +58,8 @@ impl Gc {
     /// children. Returns the bytes scanned.
     #[inline]
     pub(crate) fn scan_object(&self, obj: ObjectRef, buf: &mut WorkBuffer<'_, ObjectRef>) -> u64 {
-        let header = self.heap.header(obj);
-        self.heap
+        let header = self
+            .heap
             .scan_refs(obj, |child| self.mark_and_push(child, buf));
         header.size_bytes() as u64
     }
@@ -81,15 +81,17 @@ impl Gc {
     /// One §5.2 batch: pops up to `trace_batch` objects, tests their
     /// allocation bits, issues one acquire fence, traces the safe ones
     /// and defers the unsafe ones. Returns `(objects_processed, bytes)`;
-    /// `(0, 0)` means the buffer had no work.
+    /// `(0, 0)` means the buffer had no work. `batch` and `safety` are
+    /// the caller's scratch buffers, reused across batches.
     pub(crate) fn trace_batch_concurrent(
         &self,
         buf: &mut WorkBuffer<'_, ObjectRef>,
+        batch: &mut Vec<ObjectRef>,
+        safety: &mut Vec<bool>,
         deferred: &mut Vec<ObjectRef>,
     ) -> (usize, u64) {
-        let batch_size = self.config.trace_batch;
-        let mut batch: Vec<ObjectRef> = Vec::with_capacity(batch_size);
-        while batch.len() < batch_size {
+        batch.clear();
+        while batch.len() < self.config.trace_batch {
             match buf.pop() {
                 Some(o) => batch.push(o),
                 None => break,
@@ -100,18 +102,18 @@ impl Gc {
         }
         // §5.2 tracer steps 2-4: test allocation bits, fence once, trace
         // safe objects, defer unsafe ones.
-        let safety: Vec<bool> = batch.iter().map(|&o| self.heap.is_published(o)).collect();
+        safety.clear();
+        safety.extend(batch.iter().map(|&o| self.heap.is_published(o)));
         acquire_fence(FenceKind::TraceBatch);
         let mut bytes = 0;
-        let n = batch.len();
-        for (obj, safe) in batch.into_iter().zip(safety) {
+        for (&obj, &safe) in batch.iter().zip(safety.iter()) {
             if safe {
                 bytes += self.scan_object(obj, buf);
             } else {
                 deferred.push(obj);
             }
         }
-        (n, bytes)
+        (batch.len(), bytes)
     }
 
     /// Parks the accumulated deferred objects into the Deferred sub-pool
@@ -176,6 +178,8 @@ impl Gc {
             0,
         );
         let mut buf = WorkBuffer::new(&self.pool);
+        let mut batch = Vec::with_capacity(self.config.trace_batch);
+        let mut safety = Vec::with_capacity(self.config.trace_batch);
         let mut deferred = Vec::new();
         let mut done = 0u64;
         let mut recycled_this_increment = false;
@@ -186,7 +190,8 @@ impl Gc {
             if let Some(m) = requester {
                 self.poll_handshake(m);
             }
-            let (n, bytes) = self.trace_batch_concurrent(&mut buf, &mut deferred);
+            let (n, bytes) =
+                self.trace_batch_concurrent(&mut buf, &mut batch, &mut safety, &mut deferred);
             if n > 0 {
                 done += bytes;
                 self.credit_tracing(role, bytes);
@@ -327,9 +332,12 @@ impl Gc {
             // cleaners for these cards, which is fine — they fenced too).
         };
         let mut bytes = 0;
-        for card in take {
+        for &card in &take {
             bytes += self.clean_one_card(card, buf, false);
         }
+        self.counters
+            .cards_cleaned_conc
+            .fetch_add(take.len() as u64, Ordering::Relaxed);
         self.counters
             .card_scanned_bytes
             .fetch_add(bytes, Ordering::Relaxed);
@@ -385,7 +393,8 @@ impl Gc {
 
     /// §5.3 step 3: cleans one registered card — rescans the marked
     /// objects starting on it so references stored after their trace are
-    /// discovered. Returns bytes scanned.
+    /// discovered. Returns bytes scanned. Callers count cleaned cards
+    /// (once per batch, not per card).
     pub(crate) fn clean_one_card(
         &self,
         card: usize,
@@ -404,10 +413,7 @@ impl Gc {
         // been consumed — silently losing its children.
         let mut g = start.max(1);
         let mut unpublished = false;
-        while let Some(found) = marks.next_set(g) {
-            if found >= end {
-                break;
-            }
+        while let Some(found) = marks.next_set_before(g, end) {
             if alloc.get(found) {
                 let obj = ObjectRef::from_granule(found as u32);
                 bytes += self.scan_object(obj, buf);
@@ -421,15 +427,6 @@ impl Gc {
         if unpublished {
             debug_assert!(!stw, "unpublished marks survive cache retirement");
             self.heap.cards().dirty(card);
-        }
-        if stw {
-            self.counters
-                .cards_cleaned_stw
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters
-                .cards_cleaned_conc
-                .fetch_add(1, Ordering::Relaxed);
         }
         bytes
     }

@@ -47,12 +47,21 @@ impl Bitmap {
 
     /// Atomically sets bit `idx`, returning `true` if this call changed it
     /// from 0 to 1 (i.e., the caller won the race).
+    ///
+    /// A relaxed load comes first: a bit that already reads set returns
+    /// `false` without the read-modify-write, so threads racing to mark
+    /// a hot object share its word's cache line instead of bouncing it.
+    /// A set bit is only cleared at a safepoint, so the load cannot
+    /// misreport a bit this call could still win.
     #[inline]
     pub fn set(&self, idx: usize) -> bool {
         debug_assert!(idx < self.len);
         let mask = 1u64 << (idx % BITS);
-        let prev = self.words[idx / BITS].fetch_or(mask, Ordering::Relaxed);
-        prev & mask == 0
+        let word = &self.words[idx / BITS];
+        if word.load(Ordering::Relaxed) & mask != 0 {
+            return false;
+        }
+        word.fetch_or(mask, Ordering::Relaxed) & mask == 0
     }
 
     /// Atomically clears bit `idx`, returning `true` if this call changed
@@ -127,22 +136,7 @@ impl Bitmap {
 
     /// Finds the first set bit at or after `from`, or `None`.
     pub fn next_set(&self, from: usize) -> Option<usize> {
-        if from >= self.len {
-            return None;
-        }
-        let mut wi = from / BITS;
-        let mut word = self.words[wi].load(Ordering::Relaxed) & (!0u64 << (from % BITS));
-        loop {
-            if word != 0 {
-                let idx = wi * BITS + word.trailing_zeros() as usize;
-                return if idx < self.len { Some(idx) } else { None };
-            }
-            wi += 1;
-            if wi * BITS >= self.len {
-                return None;
-            }
-            word = self.words[wi].load(Ordering::Relaxed);
-        }
+        self.next_set_before(from, self.len)
     }
 
     /// Finds the last set bit strictly before `before`, or `None`.
@@ -169,12 +163,26 @@ impl Bitmap {
         }
     }
 
-    /// Finds the first set bit in `[from, limit)`, or `None`.
+    /// Finds the first set bit in `[from, limit)`, or `None`. Loads no
+    /// word past the one holding bit `limit - 1`.
     pub fn next_set_before(&self, from: usize, limit: usize) -> Option<usize> {
         debug_assert!(limit <= self.len);
-        match self.next_set(from) {
-            Some(i) if i < limit => Some(i),
-            _ => None,
+        if from >= limit {
+            return None;
+        }
+        let last = (limit - 1) / BITS;
+        let mut wi = from / BITS;
+        let mut word = self.words[wi].load(Ordering::Relaxed) & (!0u64 << (from % BITS));
+        loop {
+            if word != 0 {
+                let idx = wi * BITS + word.trailing_zeros() as usize;
+                return (idx < limit).then_some(idx);
+            }
+            if wi == last {
+                return None;
+            }
+            wi += 1;
+            word = self.words[wi].load(Ordering::Relaxed);
         }
     }
 

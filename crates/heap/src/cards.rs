@@ -42,10 +42,6 @@ pub struct CardTable {
     /// Number of cards actually covering heap (the last word may have
     /// trailing padding lanes, which are never dirtied).
     n_cards: usize,
-    /// Total number of cards ever dirtied (write-barrier activations that
-    /// actually transitioned clean->dirty are not distinguished; this
-    /// counts dirty stores, cheap and monotone).
-    dirty_stores: AtomicU64,
 }
 
 impl CardTable {
@@ -56,7 +52,6 @@ impl CardTable {
         CardTable {
             words: (0..words).map(|_| AtomicU64::new(0)).collect(),
             n_cards: n,
-            dirty_stores: AtomicU64::new(0),
         }
     }
 
@@ -90,7 +85,6 @@ impl CardTable {
     #[inline]
     pub fn dirty(&self, card: usize) {
         self.byte(card).store(DIRTY, Ordering::Relaxed);
-        self.dirty_stores.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Reads whether `card` is dirty.
@@ -163,11 +157,6 @@ impl CardTable {
             .sum()
     }
 
-    /// Total number of write-barrier dirty stores since creation.
-    pub fn dirty_store_count(&self) -> u64 {
-        self.dirty_stores.load(Ordering::Relaxed)
-    }
-
     /// First granule of `card`.
     #[inline]
     pub fn card_start_granule(card: usize) -> usize {
@@ -203,7 +192,6 @@ mod tests {
         t.dirty(7);
         assert!(t.is_dirty(3));
         assert_eq!(t.count_dirty(), 2);
-        assert_eq!(t.dirty_store_count(), 3);
 
         let mut snap = Vec::new();
         t.snapshot_dirty(0, 10, &mut snap);

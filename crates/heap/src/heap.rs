@@ -128,6 +128,10 @@ pub struct AllocCache {
     /// pressure grows the next refill request (adaptive cache sizing), so
     /// allocation-heavy mutators take the refill lock less often.
     pressure: u32,
+    /// Bytes of the `pending` objects; [`Heap::publish_cache`] folds them
+    /// (and `pending.len()` objects) into the heap-wide totals, so the
+    /// bump path touches no shared counter.
+    pending_bytes: u64,
 }
 
 impl AllocCache {
@@ -450,12 +454,16 @@ impl Heap {
         self.dark_granules.store(g, Ordering::Relaxed);
     }
 
-    /// Total bytes ever allocated.
+    /// Total bytes ever allocated. Small objects count once their cache
+    /// publishes ([`Heap::publish_cache`]: every refill and retire), so
+    /// the total is exact at pauses and lags a running mutator by at most
+    /// its current cache.
     pub fn bytes_allocated(&self) -> u64 {
         self.bytes_allocated.load(Ordering::Relaxed)
     }
 
-    /// Total objects ever allocated.
+    /// Total objects ever allocated; published like
+    /// [`Heap::bytes_allocated`].
     pub fn objects_allocated(&self) -> u64 {
         self.objects_allocated.load(Ordering::Relaxed)
     }
@@ -715,17 +723,51 @@ impl Heap {
     }
 
     /// Calls `f` for each non-null reference in `obj`'s reference slots,
-    /// returning the number of slots scanned.
+    /// returning the header it read. The segment is resolved once per
+    /// object; only an object that crosses a segment end (allowed, see
+    /// `format_object`) pays a lookup per slot.
     #[inline]
-    pub fn scan_refs(&self, obj: ObjectRef, mut f: impl FnMut(ObjectRef)) -> u32 {
-        let h = self.header(obj);
-        let base = obj.index() + 1;
-        for i in 0..h.ref_count as usize {
-            if let Some(r) = ObjectRef::decode(self.slot(base + i).load(Ordering::Relaxed)) {
+    pub fn scan_refs(&self, obj: ObjectRef, mut f: impl FnMut(ObjectRef)) -> Header {
+        let (seg, off) = self
+            .table
+            .seg_of_granule(obj.index())
+            .expect("slot access in unmapped segment");
+        let h = Header::decode(seg.slot(off).load(Ordering::Relaxed));
+        let refs = h.ref_count as usize;
+        let mut visit = |slot: &AtomicU64| {
+            if let Some(r) = ObjectRef::decode(slot.load(Ordering::Relaxed)) {
                 f(r);
             }
+        };
+        match seg.slots(off + 1..off + 1 + refs) {
+            Some(slots) => slots.iter().for_each(visit),
+            None => {
+                let first = obj.index() + 1;
+                (first..first + refs).for_each(|g| visit(self.slot(g)));
+            }
         }
-        h.ref_count
+        h
+    }
+
+    /// Hints the CPU to start loading `obj`'s header slot, so a scan
+    /// issued a few objects later finds it in cache (the drain loop's
+    /// prefetch FIFO, §4.1). A no-op off x86_64 and for a granule in a
+    /// hole.
+    #[inline]
+    pub fn prefetch(&self, obj: ObjectRef) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some((seg, off)) = self.table.seg_of_granule(obj.index()) {
+            let p: *const AtomicU64 = seg.slot(off);
+            // SAFETY: `p` points at a live slot of a committed segment,
+            // and a prefetch is only a cache hint: it never faults, reads
+            // nothing into the program, and writes nothing. SSE, which
+            // `_mm_prefetch` needs, is part of the x86_64 baseline.
+            unsafe {
+                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p.cast())
+            };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = obj;
     }
 
     // ------------------------------------------------------------------
@@ -733,7 +775,8 @@ impl Heap {
     // ------------------------------------------------------------------
 
     /// Atomically marks `obj`; returns `true` if this call won (the object
-    /// was previously unmarked).
+    /// was previously unmarked). An already-set bit costs one relaxed
+    /// load and no write.
     #[inline]
     pub fn mark(&self, obj: ObjectRef) -> bool {
         self.mark_bits.set(obj.index())
@@ -772,18 +815,23 @@ impl Heap {
         cache.cursor += need;
         self.format_object(start, shape);
         cache.pending.push(start as u32);
-        self.bytes_allocated
-            .fetch_add(shape.bytes() as u64, Ordering::Relaxed);
-        self.objects_allocated.fetch_add(1, Ordering::Relaxed);
+        cache.pending_bytes += shape.bytes() as u64;
         Some(ObjectRef::from_granule(start as u32))
     }
 
     /// Publishes `cache`'s pending allocations: one release fence, then
-    /// the allocation bits (§5.2 mutator steps 2–3).
+    /// the allocation bits (§5.2 mutator steps 2–3). Also folds the
+    /// batch into [`Heap::bytes_allocated`] / [`Heap::objects_allocated`];
+    /// every refill and retire publishes, so the totals are exact at
+    /// every pause and once a cache is retired.
     pub fn publish_cache(&self, cache: &mut AllocCache) {
         if cache.pending.is_empty() {
             return;
         }
+        self.bytes_allocated
+            .fetch_add(std::mem::take(&mut cache.pending_bytes), Ordering::Relaxed);
+        self.objects_allocated
+            .fetch_add(cache.pending.len() as u64, Ordering::Relaxed);
         release_fence(FenceKind::AllocBatch);
         for &g in &cache.pending {
             self.alloc_bits.set(g as usize);
@@ -1191,8 +1239,65 @@ mod tests {
         for _ in 0..10 {
             heap.alloc_small(&mut cache, shape).unwrap();
         }
+        heap.retire_cache(&mut cache);
         assert_eq!(heap.objects_allocated(), 10);
         assert_eq!(heap.bytes_allocated(), 10 * shape.bytes() as u64);
+        // An explicit publish and a refill fold their batches as well;
+        // a large object counts at once.
+        let (other, large) = (ObjectShape::new(0, 5, 0), ObjectShape::new(0, 200, 0));
+        heap.refill_cache(&mut cache, 1);
+        heap.alloc_small(&mut cache, other).unwrap();
+        heap.publish_cache(&mut cache);
+        assert_eq!(heap.objects_allocated(), 11);
+        heap.alloc_small(&mut cache, other).unwrap();
+        heap.refill_cache(&mut cache, 1);
+        assert_eq!(heap.objects_allocated(), 12);
+        heap.alloc_large(large).unwrap();
+        assert_eq!(heap.objects_allocated(), 13);
+        let bytes = 10 * shape.bytes() + 2 * other.bytes() + large.bytes();
+        assert_eq!(heap.bytes_allocated(), bytes as u64);
+    }
+
+    #[test]
+    fn concurrent_marks_win_exactly_once() {
+        let heap = small_heap();
+        let mut cache = AllocCache::new();
+        heap.refill_cache(&mut cache, 1);
+        let objs: Vec<ObjectRef> = (0..256)
+            .map(|_| {
+                heap.alloc_small(&mut cache, ObjectShape::new(0, 0, 0))
+                    .unwrap()
+            })
+            .collect();
+        // Four threads released together mark every object, each in its
+        // own order (a stride coprime with 256); every object must be
+        // won by exactly one call.
+        let arrived = std::sync::atomic::AtomicUsize::new(0);
+        let mut wins: Vec<usize> = std::thread::scope(|s| {
+            let handles = [1, 3, 5, 7].map(|stride| {
+                let (heap, objs, arrived) = (&heap, &objs, &arrived);
+                s.spawn(move || {
+                    arrived.fetch_add(1, Ordering::Relaxed);
+                    while arrived.load(Ordering::Relaxed) < 4 {
+                        std::thread::yield_now();
+                    }
+                    (0..objs.len())
+                        .map(|k| objs[k * stride % objs.len()])
+                        .filter(|&o| heap.mark(o))
+                        .map(ObjectRef::index)
+                        .collect::<Vec<_>>()
+                })
+            });
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        assert_eq!(wins.len(), objs.len(), "one winning call per object");
+        wins.sort_unstable();
+        wins.dedup();
+        assert_eq!(wins.len(), objs.len(), "every object won");
+        assert!(objs.iter().all(|&o| heap.is_marked(o) && !heap.mark(o)));
     }
 
     #[test]

@@ -43,8 +43,6 @@ pub struct HeapInspection {
     pub cards_total: usize,
     /// Cards currently dirty.
     pub cards_dirty: usize,
-    /// Cumulative dirtying stores (writes that found the card clean).
-    pub dirty_stores: u64,
     /// Cumulative bytes allocated since heap creation.
     pub bytes_allocated: u64,
     /// Cumulative objects allocated since heap creation.
@@ -89,7 +87,6 @@ pub fn inspect(heap: &Heap) -> HeapInspection {
         classes: fl.class_occupancy(),
         cards_total: cards.len(),
         cards_dirty: cards.count_dirty(),
-        dirty_stores: cards.dirty_store_count(),
         bytes_allocated: heap.bytes_allocated(),
         objects_allocated: heap.objects_allocated(),
         segments: heap.segment_stats(),
@@ -141,8 +138,8 @@ impl HeapInspection {
         );
         let _ = writeln!(
             out,
-            "cards: {} dirty / {} ({} dirtying stores)",
-            self.cards_dirty, self.cards_total, self.dirty_stores,
+            "cards: {} dirty / {}",
+            self.cards_dirty, self.cards_total,
         );
         let _ = writeln!(
             out,

@@ -90,6 +90,13 @@ impl Segment {
     pub(crate) fn slot(&self, offset: usize) -> &AtomicU64 {
         &self.slots[offset]
     }
+
+    /// Slots `range` (segment-local), or `None` when the range runs past
+    /// this segment's end.
+    #[inline]
+    pub(crate) fn slots(&self, range: std::ops::Range<usize>) -> Option<&[AtomicU64]> {
+        self.slots.get(range)
+    }
 }
 
 /// Which bitmap a [`HeapBitmap`] facade addresses.
@@ -689,19 +696,6 @@ impl HeapCards {
         for si in 0..self.table.frontier() {
             if let Some(s) = self.table.seg(si) {
                 n += s.cards.count_dirty();
-            }
-        }
-        n
-    }
-
-    /// Total write-barrier dirty stores across committed segments (a
-    /// released segment's stores leave the total — the counter tracks
-    /// live arenas, matching what a scan could still encounter).
-    pub fn dirty_store_count(&self) -> u64 {
-        let mut n = 0;
-        for si in 0..self.table.frontier() {
-            if let Some(s) = self.table.seg(si) {
-                n += s.cards.dirty_store_count();
             }
         }
         n

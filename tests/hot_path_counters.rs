@@ -1,0 +1,108 @@
+//! Exact accounting of the counters the hot paths sum per thread and
+//! flush per batch: traced bytes in the stop-the-world drain (flushed
+//! once per packet batch, behind the prefetch FIFO) and the write-barrier
+//! count (flushed once per safepoint-poll period and when a mutator
+//! drops). A local sum that is never flushed, or an object left in the
+//! FIFO when a drain worker stops, breaks these equalities.
+
+use mcgc::{Gc, GcConfig, Mutator, ObjectRef, ObjectShape, SweepMode, Trigger};
+
+const LIST_NODES: usize = 20_000;
+const TREE_DEPTH: u32 = 12;
+
+/// Builds a `LIST_NODES`-node singly linked list and a complete binary
+/// tree `TREE_DEPTH` levels below its root, both rooted. Returns the
+/// objects and bytes the graph holds.
+fn build_graph(m: &mut Mutator) -> (u64, u64) {
+    let node = ObjectShape::new(1, 1, 0);
+    let head = m.alloc(node).unwrap();
+    m.root_push(Some(head));
+    let mut tail = head;
+    for _ in 1..LIST_NODES {
+        tail = m.alloc_into(tail, 0, node).unwrap();
+    }
+
+    let inner = ObjectShape::new(2, 0, 1);
+    let root = m.alloc(inner).unwrap();
+    m.root_push(Some(root));
+    let mut level: Vec<ObjectRef> = vec![root];
+    for _ in 0..TREE_DEPTH {
+        let mut next = Vec::with_capacity(level.len() * 2);
+        for &parent in &level {
+            for slot in 0..2 {
+                next.push(m.alloc_into(parent, slot, inner).unwrap());
+            }
+        }
+        level = next;
+    }
+
+    let tree_nodes = (1u64 << (TREE_DEPTH + 1)) - 1;
+    (
+        LIST_NODES as u64 + tree_nodes,
+        LIST_NODES as u64 * node.bytes() as u64 + tree_nodes * inner.bytes() as u64,
+    )
+}
+
+fn assert_drain_accounts_every_byte(workers: usize) {
+    let mut cfg = GcConfig::stw_with_heap_bytes(32 << 20);
+    cfg.stw_workers = workers;
+    cfg.sweep = SweepMode::Eager;
+    let gc = Gc::new(cfg);
+    let (objects, bytes) = {
+        let mut m = gc.register_mutator();
+        let graph = build_graph(&mut m);
+        m.collect();
+        graph
+    };
+    let log = gc.log();
+    let c = log.cycles.last().expect("a collection ran");
+    assert_eq!(c.trigger, Some(Trigger::Explicit));
+    assert_eq!(c.overflows, 0, "workers={workers}: no §4.3 overflow");
+    assert_eq!(c.live_after_objects, objects, "workers={workers}");
+    assert_eq!(c.live_after_bytes, bytes, "workers={workers}");
+    assert_eq!(
+        c.stw_traced_bytes, c.live_after_bytes,
+        "workers={workers}: every live object traced exactly once"
+    );
+    gc.shutdown();
+}
+
+#[test]
+fn stw_drain_traces_live_bytes_exactly_one_worker() {
+    assert_drain_accounts_every_byte(1);
+}
+
+#[test]
+fn stw_drain_traces_live_bytes_exactly_four_workers() {
+    assert_drain_accounts_every_byte(4);
+}
+
+/// Write counts straddling the poll period, on one thread at a time and
+/// on several at once.
+#[test]
+fn write_barriers_count_every_write_ref() {
+    let gc = Gc::new(GcConfig::with_heap_bytes(8 << 20));
+    let writes_on = |gc: &std::sync::Arc<Gc>, writes: u64| {
+        let mut m = gc.register_mutator();
+        let holder = m.alloc(ObjectShape::new(2, 0, 0)).unwrap();
+        m.root_push(Some(holder));
+        for i in 0..writes {
+            m.write_ref(holder, (i % 2) as u32, Some(holder));
+        }
+    };
+    let mut expected = 0;
+    for writes in [0, 1, 63, 64, 65, 1000] {
+        writes_on(&gc, writes);
+        expected += writes;
+        assert_eq!(gc.write_barriers(), expected, "after {writes} writes");
+    }
+    std::thread::scope(|s| {
+        for t in 0..3u64 {
+            let gc = &gc;
+            s.spawn(move || writes_on(gc, 5_000 + 17 * t));
+        }
+    });
+    expected += 3 * 5_000 + 17 * 3;
+    assert_eq!(gc.write_barriers(), expected, "concurrent mutators");
+    gc.shutdown();
+}

@@ -120,7 +120,7 @@ fn fence_batching_reduces_fence_count() {
     }
     let fences = FenceStats::snapshot().since(&before);
     let objects = gc.heap().objects_allocated() - objects_before;
-    let barrier_stores = gc.heap().cards().dirty_store_count();
+    let barrier_stores = gc.write_barriers();
     // Naive scheme: one fence per allocated object + one per barrier.
     let naive = objects + barrier_stores;
     assert!(
