@@ -1,6 +1,6 @@
 //! Always-on observability overhead: jbb throughput across three arms —
-//! telemetry fully `off`, the default always-`on` pipeline (event ring,
-//! histograms, MMU tracker, *and* the flight-recorder span rings), and
+//! telemetry fully `off`, the default always-`on` pipeline (histograms,
+//! MMU tracker, registry counters and the flight-recorder span rings), and
 //! `export`, which additionally renders the Chrome trace every 250 ms
 //! from a background thread while the workload runs.
 //!

@@ -1,6 +1,5 @@
 //! Model of the flight-recorder seqlock slot protocol
-//! (`crates/telemetry/src/spans.rs` `SpanRing::record`/`read_slot`, and
-//! the identical per-slot protocol in `EventRing::write_slot`).
+//! (`crates/telemetry/src/spans.rs` `SpanRing::record`/`read_slot`).
 //!
 //! One ring slot, one writer (a `SpanRing` is single-writer by design —
 //! one track per thread), one concurrent snapshot reader. The writer
@@ -33,7 +32,7 @@
 //!
 //! The reader side of the store-buffer model is strict (loads are never
 //! delayed), so the model proves the *writer-side* fences load-bearing.
-//! The fix in `spans.rs`/`ring.rs` also adds the reader-side acquire
+//! The fix in `spans.rs` also adds the reader-side acquire
 //! fence before revalidation, which the C++ abstract machine requires
 //! for the same guarantee (Boehm's seqlock recipe: the revalidating
 //! load only synchronizes with the store it reads, so payload loads
@@ -370,8 +369,8 @@ mod tests {
 
     #[test]
     fn shipped_pr6_protocol_admits_a_torn_read() {
-        // SkipBeginFence is exactly the protocol spans.rs/ring.rs shipped
-        // in PR 6; the model is what surfaced the missing fence.
+        // SkipBeginFence is exactly the protocol the span ring shipped
+        // with in PR 6; the model is what surfaced the missing fence.
         let out = run(SeqlockMutation::SkipBeginFence);
         match out {
             Outcome::Violation { message, .. } => {

@@ -197,10 +197,15 @@ pub(crate) struct IncrementAccum {
     pub factor_sq_sum: f64,
 }
 
+/// Cycle boundaries on the flight recorder's clock (ns since the hub was
+/// created), with the allocation totals at those moments.
 #[derive(Debug)]
 struct Timeline {
-    last_cycle_end: Instant,
-    kickoff: Option<Instant>,
+    /// End of the previous pause.
+    last_cycle_end_ns: u64,
+    /// The current cycle's initialization (its kickoff, or a fresh
+    /// pause's in-pause start); the cycle span begins here.
+    kickoff_ns: u64,
     alloc_at_last_end: u64,
     alloc_at_kickoff: u64,
 }
@@ -266,9 +271,6 @@ pub struct Gc {
     /// onto this one timeline, so pause phases from different coordinator
     /// threads still render as one track.
     coord_track: Option<TrackId>,
-    /// Flight-recorder timestamp of the current cycle's kickoff, for the
-    /// cycle-level span recorded when the pause ends.
-    cycle_begin_ns: AtomicU64,
     /// The unified GC scheduler: one persistent worker pool serving
     /// pause sessions (work buckets claimed with a single wakeup per
     /// pause), the §3 background tracer duties, and the background
@@ -299,7 +301,7 @@ impl Gc {
         let heap = Heap::new(config.heap);
         let pacer = Pacer::new(&config, heap.total_bytes());
         let now = Instant::now();
-        let tel = GcTelemetry::new(mcgc_telemetry::DEFAULT_RING_CAPACITY, config.stw_workers);
+        let tel = GcTelemetry::new(config.stw_workers);
         let spans = Arc::clone(tel.hub.spans());
         let coord_track = spans.named_track("gc coordinator");
         heap.free_list().attach_recorder(Arc::clone(&spans));
@@ -322,8 +324,8 @@ impl Gc {
             card_state: Mutex::new(CardCleanState::default()),
             increments: Mutex::new(IncrementAccum::default()),
             timeline: Mutex::new(Timeline {
-                last_cycle_end: now,
-                kickoff: None,
+                last_cycle_end_ns: 0,
+                kickoff_ns: 0,
                 alloc_at_last_end: 0,
                 alloc_at_kickoff: 0,
             }),
@@ -338,7 +340,6 @@ impl Gc {
             log: Mutex::new(GcLog::default()),
             tel,
             coord_track,
-            cycle_begin_ns: AtomicU64::new(0),
             sched,
             shutdown_flag: AtomicBool::new(false),
             handshake_epoch: AtomicU64::new(0),
@@ -401,22 +402,19 @@ impl Gc {
         self.log.lock().clone()
     }
 
-    /// The live telemetry hub: phase-event ring, pause/increment
+    /// The live telemetry hub: flight recorder, pause/increment
     /// histograms, MMU tracker, and the metrics registry. Queryable from
     /// any thread mid-run.
     pub fn telemetry(&self) -> &mcgc_telemetry::Telemetry {
         &self.tel.hub
     }
 
-    /// Opens a flight-recorder span on the coordinator track (the one
-    /// timeline carrying cycle and pause-phase spans). `None` when the
-    /// recorder is disabled or out of track slots.
-    fn pause_span(&self, kind: SpanKind, arg: u64) -> Option<SpanGuard<'_>> {
-        let rec = self.tel.hub.spans();
-        if !rec.is_enabled() {
-            return None;
-        }
-        Some(rec.span_on(self.coord_track?, kind, arg))
+    /// Opens a timed span on the coordinator track (the one timeline
+    /// carrying cycle and pause-phase spans). It measures even when the
+    /// recorder is disabled or out of track slots: its `finish()` is the
+    /// wall time the phase reports in [`CycleStats`].
+    fn coord_span(&self, kind: SpanKind, arg: u64) -> SpanGuard<'_> {
+        self.tel.hub.spans().timed(self.coord_track, kind, arg)
     }
 
     /// Refreshes the pull-style gauges (phase, heap occupancy, pacer
@@ -814,14 +812,12 @@ impl Gc {
         *self.increments.lock() = IncrementAccum::default();
         self.pool.reset_stats();
         let cycle = self.cycle.fetch_add(1, Ordering::Relaxed) + 1;
-        self.tel
-            .on_cycle_begin(cycle, self.heap.free_bytes() as u64);
+        self.tel.on_cycle_begin();
         let spans = self.tel.hub.spans();
         spans.set_cycle(cycle as u32);
-        self.cycle_begin_ns.store(spans.now_ns(), Ordering::Relaxed);
         {
             let mut t = self.timeline.lock();
-            t.kickoff = Some(Instant::now());
+            t.kickoff_ns = spans.now_ns();
             t.alloc_at_kickoff = self.heap.bytes_allocated();
         }
         {
@@ -914,7 +910,7 @@ impl Gc {
             return;
         };
         let before = plan.remaining_chunks() as u64;
-        let t = Instant::now();
+        let fence = self.coord_span(SpanKind::StragglerFence, before);
         if before > 0 {
             let session = self.sched.open_session();
             session.run(Bucket::Straggler, |w| {
@@ -934,7 +930,7 @@ impl Gc {
         while !plan.is_done() {
             std::thread::yield_now();
         }
-        let ns = t.elapsed().as_nanos() as u64;
+        let ns = fence.finish().as_nanos() as u64;
         self.straggler_ns.fetch_add(ns, Ordering::Relaxed);
         self.straggler_chunks.fetch_add(before, Ordering::Relaxed);
         self.tel.on_straggler(before, ns);
@@ -1019,8 +1015,7 @@ impl Gc {
         if self.heap.take_lazy_plan_if_done().is_some() {
             self.heap.mark_bits().clear_all();
             self.bits_pre_cleared.store(true, Ordering::Release);
-            self.tel
-                .on_lazy_retired(self.cycle(), self.heap.free_bytes() as u64);
+            self.tel.on_lazy_retired();
         }
     }
 
@@ -1031,16 +1026,23 @@ impl Gc {
     /// Runs the stop-the-world phase (paper §2.2). World is stopped;
     /// caller holds the coordinator lock.
     fn run_pause(&self, trigger: Trigger) {
-        let wall_start = Instant::now();
-        let wall_start_ns = self.tel.hub.now_ns();
         let fresh = !self.in_concurrent_phase();
         let trigger = if fresh && trigger != Trigger::Explicit {
             Trigger::Baseline
         } else {
             trigger
         };
-        let pause_span = self.pause_span(SpanKind::Pause, trigger.code());
-        let mut retire_span = self.pause_span(SpanKind::PauseRetire, 0);
+        let spans = self.tel.hub.spans();
+        if fresh {
+            // A fresh pause initializes its cycle further down; stamp the
+            // new cycle number now, so the pause's first spans carry it
+            // too (postmortems match phases to their pause by cycle).
+            spans.set_cycle(self.cycle() as u32 + 1);
+        }
+        // The pause's clock: `pause_wall`, the pause histogram and the
+        // `gc.pause` span all read this guard.
+        let pause = self.coord_span(SpanKind::Pause, trigger.code());
+        let mut retire = self.coord_span(SpanKind::PauseRetire, 0);
 
         // 1. Retire every allocation cache (publishes pending allocation
         //    bits; sweep needs cache tails back on the free list).
@@ -1048,9 +1050,7 @@ impl Gc {
         for m in &mutators {
             self.heap.retire_cache(&mut m.cache.lock());
         }
-        if let Some(s) = retire_span.as_mut() {
-            s.set_arg(mutators.len() as u64);
-        }
+        retire.set_arg(mutators.len() as u64);
 
         // Occupancy-driven shrink, lazy-sweep variant. Eager sweep
         // releases empty grown segments inline while rebuilding the free
@@ -1104,11 +1104,6 @@ impl Gc {
         }
 
         let cycle_no = self.cycle();
-        if !fresh {
-            self.tel.on_concurrent_end(cycle_no, trigger.code());
-        }
-        self.tel.on_stw_start(cycle_no, trigger.code());
-
         let free_at_stw_start = self.heap.free_bytes() as u64;
 
         // 2. Final card cleaning (§2.2) — only meaningful if a concurrent
@@ -1116,23 +1111,19 @@ impl Gc {
         //    barrier activity before this instant, which is harmless to
         //    clean). Cleaned as a scheduler bucket; `cards_wall` also
         //    absorbs the drain loop's re-clean passes below.
-        drop(retire_span);
-        let cards_t = Instant::now();
-        let cards_span = self.pause_span(SpanKind::PauseCards, 0);
+        drop(retire);
+        let cards = self.coord_span(SpanKind::PauseCards, 0);
         let (cards_left, stw_clean_work) = self.stw_clean_cards(&session, fresh);
-        drop(cards_span);
-        let mut cards_wall = cards_t.elapsed();
+        let mut cards_wall = cards.finish();
 
         // 3. Rescan all thread stacks and global roots (§2.2), as one
         //    bucket: one task per mutator stack plus chunked global
         //    roots.
-        let roots_t = Instant::now();
         let root_slots_before = self.counters.root_slots.load(Ordering::Relaxed);
-        let roots_span = self.pause_span(SpanKind::PauseRoots, mutators.len() as u64);
+        let roots = self.coord_span(SpanKind::PauseRoots, mutators.len() as u64);
         self.sched_scan_roots(&session, &mutators);
-        drop(roots_span);
+        let roots_wall = roots.finish();
         let root_slots = self.counters.root_slots.load(Ordering::Relaxed) - root_slots_before;
-        let roots_wall = roots_t.elapsed();
 
         // 4. Complete marking in parallel (§2.2; marker similar to Endo
         //    et al.). Packet overflow during this drain falls back to
@@ -1144,11 +1135,9 @@ impl Gc {
         let mut drain_wall = Duration::ZERO;
         let mut drain_round = 0u64;
         loop {
-            let drain_t = Instant::now();
-            let drain_span = self.pause_span(SpanKind::PauseDrain, drain_round);
+            let drain = self.coord_span(SpanKind::PauseDrain, drain_round);
             self.drain_marking_parallel(&session);
-            drop(drain_span);
-            drain_wall += drain_t.elapsed();
+            drain_wall += drain.finish();
             let mut redirty = Vec::new();
             self.heap
                 .cards()
@@ -1157,11 +1146,9 @@ impl Gc {
                 break;
             }
             drain_round += 1;
-            let reclean_t = Instant::now();
-            let reclean_span = self.pause_span(SpanKind::PauseReclean, redirty.len() as u64);
+            let reclean = self.coord_span(SpanKind::PauseReclean, redirty.len() as u64);
             let scanned = self.sched_clean_cards(&session, &redirty);
-            drop(reclean_span);
-            cards_wall += reclean_t.elapsed();
+            cards_wall += reclean.finish();
             extra_clean_ms += self
                 .config
                 .cost
@@ -1178,10 +1165,7 @@ impl Gc {
         // 5. Sweep. The eager path drives [`ParallelSweep`] as a
         //    scheduler bucket: workers claim chunk ranges off its atomic
         //    cursor and the leader folds the results.
-        self.tel
-            .on_sweep_start(cycle_no, self.config.sweep == SweepMode::Lazy);
-        let sweep_t = Instant::now();
-        let sweep_span = self.pause_span(SpanKind::PauseSweep, 0);
+        let sweep = self.coord_span(SpanKind::PauseSweep, 0);
         let chunk = self.config.sweep_chunk_granules;
         let (live_objects, live_granules, sweep_chunks, lazy_planned) = match self.config.sweep {
             SweepMode::Eager => {
@@ -1219,9 +1203,7 @@ impl Gc {
                 (0, 0, 0, true)
             }
         };
-        drop(sweep_span);
-        let sweep_wall = sweep_t.elapsed();
-        self.tel.on_sweep_end(cycle_no, live_objects);
+        let sweep_wall = sweep.finish();
 
         // verify-gc: after an eager sweep the rebuilt free list must
         // agree with the bitmaps (lazy sweeping checks per-chunk).
@@ -1240,20 +1222,18 @@ impl Gc {
         //    pre-concurrent stores, and is dropped at kickoff as the
         //    paper's initialization does. Lazy sweep still needs the mark
         //    bits, so it cannot pre-clear.
-        let clear_t = Instant::now();
-        let clear_span = self.pause_span(SpanKind::PauseClear, 0);
+        let clear = self.coord_span(SpanKind::PauseClear, 0);
         if !lazy_planned && self.config.mode == CollectorMode::Concurrent {
             self.sched_clear_mark_bits(&session);
             self.bits_pre_cleared.store(true, Ordering::Release);
         }
-        drop(clear_span);
-        let clear_wall = clear_t.elapsed();
+        let clear_wall = clear.finish();
         // Last bucket drained: close the session so the workers park
         // (the accounting below is leader-only).
         drop(session);
 
         // 7. Account the cycle.
-        let account_span = self.pause_span(SpanKind::PauseAccount, 0);
+        let account = self.coord_span(SpanKind::PauseAccount, 0);
         let cost = &self.config.cost;
         let card_single_ms = stw_clean_work + extra_clean_ms;
         let root_single_ms = cost.roots_ms(root_slots);
@@ -1275,24 +1255,27 @@ impl Gc {
             live_granules * mcgc_heap::GRANULE_BYTES as u64
         };
 
-        let now = Instant::now();
+        let pause_begin_ns = pause.begin_ns();
+        let pause_wall = pause.elapsed();
         let (concurrent_wall, pre_concurrent_wall, alloc_conc, alloc_pre) = {
             let t = self.timeline.lock();
             let allocated = self.heap.bytes_allocated();
-            match t.kickoff {
-                Some(k) if !fresh => (
-                    now.duration_since(k)
-                        .saturating_sub(now.duration_since(wall_start)),
-                    k.duration_since(t.last_cycle_end),
-                    allocated - t.alloc_at_kickoff,
-                    t.alloc_at_kickoff - t.alloc_at_last_end,
-                ),
-                _ => (
+            let between =
+                |from_ns: u64, to_ns: u64| Duration::from_nanos(to_ns.saturating_sub(from_ns));
+            if fresh {
+                (
                     Duration::ZERO,
-                    wall_start.duration_since(t.last_cycle_end),
+                    between(t.last_cycle_end_ns, pause_begin_ns),
                     0,
                     allocated - t.alloc_at_last_end,
-                ),
+                )
+            } else {
+                (
+                    between(t.kickoff_ns, pause_begin_ns),
+                    between(t.last_cycle_end_ns, t.kickoff_ns),
+                    allocated - t.alloc_at_kickoff,
+                    t.alloc_at_kickoff - t.alloc_at_last_end,
+                )
             }
         };
 
@@ -1307,7 +1290,7 @@ impl Gc {
             sweep_ms,
             card_ms: card_single_ms / workers,
             root_ms: root_single_ms / workers,
-            pause_wall: now.duration_since(wall_start),
+            pause_wall,
             cards_wall,
             roots_wall,
             drain_wall,
@@ -1351,36 +1334,31 @@ impl Gc {
             c.card_scanned_bytes.load(Ordering::Relaxed).max(1),
         );
 
-        self.tel
-            .on_stw_end(cycle_no, wall_start_ns, self.tel.hub.now_ns());
+        self.tel.on_stw_end(
+            pause_begin_ns,
+            pause_begin_ns + pause_wall.as_nanos() as u64,
+        );
         self.tel.on_cycle_end(&stats);
         self.log.lock().cycles.push(stats);
         self.phase.store(PHASE_IDLE, Ordering::Release);
-        {
-            let mut t = self.timeline.lock();
-            t.last_cycle_end = Instant::now();
-            t.kickoff = None;
-            t.alloc_at_last_end = self.heap.bytes_allocated();
-        }
 
         // 9. Flight-recorder epilogue: snapshot heap occupancy into the
         //    trace's counter tracks (still inside the accounting span),
         //    close the pause, then record the enclosing cycle span —
         //    begin = kickoff — so pause phases nest under their cycle.
-        let rec = self.tel.hub.spans();
-        if rec.is_enabled() {
-            mcgc_heap::inspect(&self.heap).record_counters(rec);
+        if spans.is_enabled() {
+            mcgc_heap::inspect(&self.heap).record_counters(spans);
         }
-        drop(account_span);
-        drop(pause_span);
+        drop(account);
+        let pause_end_ns = pause_begin_ns + pause.finish().as_nanos() as u64;
+        let kickoff_ns = {
+            let mut t = self.timeline.lock();
+            t.last_cycle_end_ns = pause_end_ns;
+            t.alloc_at_last_end = self.heap.bytes_allocated();
+            t.kickoff_ns
+        };
         if let Some(track) = self.coord_track {
-            rec.record_span(
-                track,
-                SpanKind::Cycle,
-                self.cycle_begin_ns.load(Ordering::Relaxed),
-                rec.now_ns(),
-                cycle_no,
-            );
+            spans.record_span(track, SpanKind::Cycle, kickoff_ns, pause_end_ns, cycle_no);
         }
     }
 
@@ -1397,7 +1375,7 @@ impl Gc {
     /// load.
     fn flood_marked_cards(&self, session: &Session<'_>) {
         const STRIPE_WORDS: usize = 1 << 12; // 32 KiB of bitmap per claim
-        let _flood_span = self.pause_span(SpanKind::PauseFlood, 0);
+        let _flood_span = self.coord_span(SpanKind::PauseFlood, 0);
         let marks = self.heap.mark_bits();
         let cards = self.heap.cards();
         let words = marks.word_len();

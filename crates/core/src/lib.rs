@@ -53,7 +53,7 @@ pub use collector::{Gc, GcError, Phase};
 pub use config::{CollectorMode, CostModel, GcConfig, SweepMode};
 pub use mutator::Mutator;
 pub use pacing::{Pacer, PacerEstimates};
-pub use stats::{emit_cycle_events, CycleStats, GcLog, Trigger};
+pub use stats::{CycleStats, GcLog, Trigger};
 
 // Re-export the substrate types a user needs at the API boundary.
 pub use mcgc_heap::{HeapConfig, ObjectRef, ObjectShape};

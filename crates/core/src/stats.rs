@@ -1,16 +1,13 @@
 //! Per-cycle collection statistics and aggregation helpers — the raw
 //! material for every table and figure in the paper's §6.
 //!
-//! Every completed cycle is both pushed to the in-memory [`GcLog`] *and*
-//! emitted to the telemetry event ring as a batch of `CycleStat` events
-//! ([`emit_cycle_events`]); [`GcLog::from_events`] rebuilds a log from
-//! that stream. Floating-point fields travel as `f64::to_bits`, so the
-//! rebuilt log is bit-for-bit identical to direct accounting — the §6
-//! tables and a live telemetry view can never disagree.
+//! Every completed cycle is pushed to the in-memory [`GcLog`]. Its
+//! measured pause walls (`*_wall`) are the durations of the pause's own
+//! flight-recorder spans, so the §6 tables, the registry's
+//! `gc_pause_*_ns_total` counters and a span postmortem read the same
+//! clock pairs.
 
 use std::time::Duration;
-
-use mcgc_telemetry::{EventKind, EventStage, GcEvent, StatField, Telemetry};
 
 /// What started a collection cycle's stop-the-world phase.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -29,7 +26,7 @@ pub enum Trigger {
 }
 
 impl Trigger {
-    /// Stable wire code used in telemetry events.
+    /// Stable wire code (the `gc.pause` span's arg).
     pub fn code(self) -> u64 {
         match self {
             Trigger::AllocationFailure => 0,
@@ -71,12 +68,13 @@ pub struct CycleStats {
     pub card_ms: f64,
     /// Root-scanning part of the mark component.
     pub root_ms: f64,
-    /// Wall-clock pause measured on the host (noisy; for reference).
+    /// Wall-clock pause measured on the host (noisy; for reference): the
+    /// `gc.pause` span's elapsed time when these stats were built.
     pub pause_wall: Duration,
 
-    // -- measured per-phase pause walls (scheduler-parallel; host wall time,
-    //    noisy — the `*_ms` fields above stay the host-independent work
-    //    model) --
+    // -- measured per-phase pause walls: each is the duration of that
+    //    phase's own span (scheduler-parallel; host wall time, noisy — the
+    //    `*_ms` fields above stay the host-independent work model) --
     /// Wall time of the final card cleaning, including the drain loop's
     /// redirty/re-clean passes.
     pub cards_wall: Duration,
@@ -342,167 +340,6 @@ impl GcLog {
         }
         self.cycles.iter().filter(|c| pred(c)).count() as f64 / self.cycles.len() as f64
     }
-
-    /// Rebuilds a log by replaying a telemetry event stream: each
-    /// contiguous `CycleStat` batch terminated by `CycleEnd` becomes one
-    /// [`CycleStats`] record, bit-for-bit identical to the one direct
-    /// accounting produced (floats travel as `to_bits`). Incomplete
-    /// batches (no `CycleEnd` yet, or partially overwritten by ring
-    /// wraparound) are dropped.
-    pub fn from_events(events: &[GcEvent]) -> GcLog {
-        use std::collections::BTreeMap;
-        let mut partial: BTreeMap<u32, CycleStats> = BTreeMap::new();
-        let mut cycles = Vec::new();
-        for ev in events {
-            match ev.kind {
-                EventKind::CycleStat(field) => {
-                    let c = partial.entry(ev.cycle).or_default();
-                    c.cycle = ev.cycle as u64;
-                    apply_stat(c, field, ev.arg);
-                }
-                EventKind::CycleEnd => {
-                    if let Some(c) = partial.remove(&ev.cycle) {
-                        cycles.push(c);
-                    }
-                }
-                _ => {}
-            }
-        }
-        cycles.sort_by_key(|c| c.cycle);
-        GcLog { cycles }
-    }
-}
-
-fn apply_stat(c: &mut CycleStats, field: StatField, arg: u64) {
-    let f = f64::from_bits;
-    match field {
-        StatField::Trigger => c.trigger = Trigger::from_code(arg),
-        StatField::PauseMs => c.pause_ms = f(arg),
-        StatField::MarkMs => c.mark_ms = f(arg),
-        StatField::SweepMs => c.sweep_ms = f(arg),
-        StatField::CardMs => c.card_ms = f(arg),
-        StatField::RootMs => c.root_ms = f(arg),
-        StatField::PauseWallNs => c.pause_wall = Duration::from_nanos(arg),
-        StatField::ConcurrentWallNs => c.concurrent_wall = Duration::from_nanos(arg),
-        StatField::PreConcurrentWallNs => c.pre_concurrent_wall = Duration::from_nanos(arg),
-        StatField::TracedMutator => c.mutator_traced_bytes = arg,
-        StatField::TracedBackground => c.background_traced_bytes = arg,
-        StatField::TracedStw => c.stw_traced_bytes = arg,
-        StatField::AllocDuringConcurrent => c.alloc_concurrent_bytes = arg,
-        StatField::AllocPreConcurrent => c.alloc_pre_concurrent_bytes = arg,
-        StatField::CardsCleanedConcurrent => c.cards_cleaned_concurrent = arg,
-        StatField::CardsCleanedStw => c.cards_cleaned_stw = arg,
-        StatField::CardsLeft => c.cards_left = arg,
-        StatField::Handshakes => c.handshakes = arg,
-        StatField::FreeAtStwStart => c.free_at_stw_start = arg,
-        StatField::LiveAfterBytes => c.live_after_bytes = arg,
-        StatField::LiveAfterObjects => c.live_after_objects = arg,
-        StatField::FreeAfterBytes => c.free_after_bytes = arg,
-        StatField::OccupancyAfter => c.occupancy_after = f(arg),
-        StatField::Increments => c.increments = arg,
-        StatField::TracingFactorSum => c.tracing_factor_sum = f(arg),
-        StatField::TracingFactorSqSum => c.tracing_factor_sq_sum = f(arg),
-        StatField::CasOps => c.cas_ops = arg,
-        StatField::Overflows => c.overflows = arg,
-        StatField::DeferredObjects => c.deferred_objects = arg,
-        StatField::PacketsInUseWatermark => c.packets_in_use_watermark = arg as usize,
-        StatField::PacketEntriesWatermark => c.packet_entries_watermark = arg as usize,
-        StatField::CardsWallNs => c.cards_wall = Duration::from_nanos(arg),
-        StatField::RootsWallNs => c.roots_wall = Duration::from_nanos(arg),
-        StatField::DrainWallNs => c.drain_wall = Duration::from_nanos(arg),
-        StatField::SweepWallNs => c.sweep_wall = Duration::from_nanos(arg),
-        StatField::ClearWallNs => c.clear_wall = Duration::from_nanos(arg),
-        StatField::StragglerWallNs => c.straggler_wall = Duration::from_nanos(arg),
-        StatField::StragglerChunks => c.straggler_chunks = arg,
-    }
-}
-
-/// Emits one completed cycle to the telemetry ring as a contiguous
-/// `CycleStat` batch terminated by `CycleEnd` — the single source the
-/// live view and [`GcLog::from_events`] replay share with the in-memory
-/// log.
-pub fn emit_cycle_events(tel: &Telemetry, stats: &CycleStats) {
-    if !tel.is_enabled() {
-        return;
-    }
-    let cycle = stats.cycle as u32;
-    let mut stage = EventStage::new();
-    let mut put = |field: StatField, arg: u64| {
-        tel.stage(&mut stage, EventKind::CycleStat(field), cycle, arg);
-    };
-    put(
-        StatField::Trigger,
-        stats.trigger.map_or(u64::MAX, Trigger::code),
-    );
-    put(StatField::PauseMs, stats.pause_ms.to_bits());
-    put(StatField::MarkMs, stats.mark_ms.to_bits());
-    put(StatField::SweepMs, stats.sweep_ms.to_bits());
-    put(StatField::CardMs, stats.card_ms.to_bits());
-    put(StatField::RootMs, stats.root_ms.to_bits());
-    put(StatField::PauseWallNs, stats.pause_wall.as_nanos() as u64);
-    put(
-        StatField::ConcurrentWallNs,
-        stats.concurrent_wall.as_nanos() as u64,
-    );
-    put(
-        StatField::PreConcurrentWallNs,
-        stats.pre_concurrent_wall.as_nanos() as u64,
-    );
-    put(StatField::TracedMutator, stats.mutator_traced_bytes);
-    put(StatField::TracedBackground, stats.background_traced_bytes);
-    put(StatField::TracedStw, stats.stw_traced_bytes);
-    put(
-        StatField::AllocDuringConcurrent,
-        stats.alloc_concurrent_bytes,
-    );
-    put(
-        StatField::AllocPreConcurrent,
-        stats.alloc_pre_concurrent_bytes,
-    );
-    put(
-        StatField::CardsCleanedConcurrent,
-        stats.cards_cleaned_concurrent,
-    );
-    put(StatField::CardsCleanedStw, stats.cards_cleaned_stw);
-    put(StatField::CardsLeft, stats.cards_left);
-    put(StatField::Handshakes, stats.handshakes);
-    put(StatField::FreeAtStwStart, stats.free_at_stw_start);
-    put(StatField::LiveAfterBytes, stats.live_after_bytes);
-    put(StatField::LiveAfterObjects, stats.live_after_objects);
-    put(StatField::FreeAfterBytes, stats.free_after_bytes);
-    put(StatField::OccupancyAfter, stats.occupancy_after.to_bits());
-    put(StatField::Increments, stats.increments);
-    put(
-        StatField::TracingFactorSum,
-        stats.tracing_factor_sum.to_bits(),
-    );
-    put(
-        StatField::TracingFactorSqSum,
-        stats.tracing_factor_sq_sum.to_bits(),
-    );
-    put(StatField::CasOps, stats.cas_ops);
-    put(StatField::Overflows, stats.overflows);
-    put(StatField::DeferredObjects, stats.deferred_objects);
-    put(
-        StatField::PacketsInUseWatermark,
-        stats.packets_in_use_watermark as u64,
-    );
-    put(
-        StatField::PacketEntriesWatermark,
-        stats.packet_entries_watermark as u64,
-    );
-    put(StatField::CardsWallNs, stats.cards_wall.as_nanos() as u64);
-    put(StatField::RootsWallNs, stats.roots_wall.as_nanos() as u64);
-    put(StatField::DrainWallNs, stats.drain_wall.as_nanos() as u64);
-    put(StatField::SweepWallNs, stats.sweep_wall.as_nanos() as u64);
-    put(StatField::ClearWallNs, stats.clear_wall.as_nanos() as u64);
-    put(
-        StatField::StragglerWallNs,
-        stats.straggler_wall.as_nanos() as u64,
-    );
-    put(StatField::StragglerChunks, stats.straggler_chunks);
-    tel.stage(&mut stage, EventKind::CycleEnd, cycle, cycle as u64);
-    tel.flush(&mut stage);
 }
 
 #[cfg(test)]
@@ -620,82 +457,5 @@ mod tests {
         c.cas_ops = 1000;
         c.live_after_bytes = 10 << 10; // 10 KB
         assert!((c.normalized_cas_cost() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn event_replay_roundtrips_bit_for_bit() {
-        // Emit two synthetic cycles (awkward float values included) and
-        // rebuild the log from the event stream.
-        let tel = Telemetry::new(1024);
-        let mut a = CycleStats {
-            cycle: 1,
-            trigger: Some(Trigger::AllocationFailure),
-            pause_ms: 1.0 / 3.0,
-            mark_ms: 0.1 + 0.2, // 0.30000000000000004
-            sweep_ms: f64::MIN_POSITIVE,
-            pause_wall: Duration::from_nanos(123_456_789),
-            cards_wall: Duration::from_nanos(11_111),
-            roots_wall: Duration::from_nanos(22_222),
-            drain_wall: Duration::from_nanos(33_333),
-            sweep_wall: Duration::from_nanos(44_444),
-            clear_wall: Duration::from_nanos(55_555),
-            straggler_wall: Duration::from_nanos(66_666),
-            straggler_chunks: 7,
-            concurrent_wall: Duration::from_micros(777),
-            pre_concurrent_wall: Duration::from_millis(5),
-            mutator_traced_bytes: u64::MAX / 3,
-            occupancy_after: 0.6180339887498949,
-            tracing_factor_sum: -0.0, // sign bit must survive
-            ..CycleStats::default()
-        };
-        a.cards_cleaned_concurrent = 10;
-        let b = CycleStats {
-            cycle: 2,
-            trigger: Some(Trigger::Baseline),
-            packets_in_use_watermark: 42,
-            packet_entries_watermark: 999,
-            ..CycleStats::default()
-        };
-        emit_cycle_events(&tel, &a);
-        emit_cycle_events(&tel, &b);
-        let rebuilt = GcLog::from_events(&tel.events());
-        assert_eq!(rebuilt.cycles.len(), 2);
-        for (orig, got) in [&a, &b].into_iter().zip(&rebuilt.cycles) {
-            assert_eq!(orig.cycle, got.cycle);
-            assert_eq!(orig.trigger, got.trigger);
-            assert_eq!(orig.pause_ms.to_bits(), got.pause_ms.to_bits());
-            assert_eq!(orig.mark_ms.to_bits(), got.mark_ms.to_bits());
-            assert_eq!(orig.sweep_ms.to_bits(), got.sweep_ms.to_bits());
-            assert_eq!(
-                orig.tracing_factor_sum.to_bits(),
-                got.tracing_factor_sum.to_bits()
-            );
-            assert_eq!(
-                orig.occupancy_after.to_bits(),
-                got.occupancy_after.to_bits()
-            );
-            assert_eq!(orig.pause_wall, got.pause_wall);
-            assert_eq!(orig.cards_wall, got.cards_wall);
-            assert_eq!(orig.roots_wall, got.roots_wall);
-            assert_eq!(orig.drain_wall, got.drain_wall);
-            assert_eq!(orig.sweep_wall, got.sweep_wall);
-            assert_eq!(orig.clear_wall, got.clear_wall);
-            assert_eq!(orig.straggler_wall, got.straggler_wall);
-            assert_eq!(orig.straggler_chunks, got.straggler_chunks);
-            assert_eq!(orig.concurrent_wall, got.concurrent_wall);
-            assert_eq!(orig.pre_concurrent_wall, got.pre_concurrent_wall);
-            assert_eq!(orig.mutator_traced_bytes, got.mutator_traced_bytes);
-            assert_eq!(orig.packets_in_use_watermark, got.packets_in_use_watermark);
-            assert_eq!(orig.packet_entries_watermark, got.packet_entries_watermark);
-        }
-        // A batch with no CycleEnd (simulating wraparound loss) drops.
-        let events: Vec<_> = tel
-            .events()
-            .into_iter()
-            .filter(|e| !(e.kind == EventKind::CycleEnd && e.cycle == 2))
-            .collect();
-        let partial = GcLog::from_events(&events);
-        assert_eq!(partial.cycles.len(), 1);
-        assert_eq!(partial.cycles[0].cycle, 1);
     }
 }

@@ -11,9 +11,9 @@
 
 use std::sync::Arc;
 
-use mcgc_telemetry::{Counter, EventKind, Gauge, Telemetry};
+use mcgc_telemetry::{Counter, Gauge, Telemetry};
 
-use crate::stats::{emit_cycle_events, CycleStats};
+use crate::stats::CycleStats;
 use crate::tracing::TraceRole;
 
 /// Which rung of the allocation-failure escalation ladder ran (ISSUE:
@@ -34,7 +34,8 @@ pub(crate) enum EscalationRung {
 
 /// The collector's telemetry bundle (one per [`crate::Gc`]).
 pub(crate) struct GcTelemetry {
-    /// The embedded hub: event ring, histograms, registry, MMU tracker.
+    /// The embedded hub: flight recorder, histograms, registry, MMU
+    /// tracker.
     pub(crate) hub: Telemetry,
 
     // -- counters (cumulative across cycles, updated at cycle end) --
@@ -138,8 +139,8 @@ pub(crate) struct GcTelemetry {
 }
 
 impl GcTelemetry {
-    pub(crate) fn new(ring_capacity: usize, stw_workers: usize) -> GcTelemetry {
-        let hub = Telemetry::new(ring_capacity);
+    pub(crate) fn new(stw_workers: usize) -> GcTelemetry {
+        let hub = Telemetry::new();
         let r = hub.registry();
         let c = |name: &str| r.counter(name);
         let g = |name: &str| r.gauge(name);
@@ -243,44 +244,17 @@ impl GcTelemetry {
     // ------------------------------------------------------------------
 
     /// Cycle initialization (§2.1): card table + mark bits cleared,
-    /// counters reset. `free_bytes` is the headroom left at kickoff.
-    pub(crate) fn on_cycle_begin(&self, cycle: u64, free_bytes: u64) {
+    /// counters reset. (The kickoff's free-byte headroom rides on the
+    /// `pacer.kickoff` span.)
+    pub(crate) fn on_cycle_begin(&self) {
         self.cycles.inc();
-        self.hub.emit(EventKind::Kickoff, cycle as u32, free_bytes);
     }
 
-    /// The concurrent phase is over (halted or exhausted); a pause with
-    /// the given trigger follows immediately.
-    pub(crate) fn on_concurrent_end(&self, cycle: u64, trigger_code: u64) {
-        self.hub
-            .emit(EventKind::ConcurrentEnd, cycle as u32, trigger_code);
-    }
-
-    pub(crate) fn on_stw_start(&self, cycle: u64, trigger_code: u64) {
-        self.hub
-            .emit(EventKind::StwStart, cycle as u32, trigger_code);
-    }
-
-    /// Pause complete: feeds the pause histogram and the MMU tracker and
-    /// publishes the `StwEnd` event carrying the wall pause in ns.
-    pub(crate) fn on_stw_end(&self, cycle: u64, start_ns: u64, end_ns: u64) {
+    /// Pause complete: feeds the pause histogram and the MMU tracker with
+    /// the pause window `[start_ns, end_ns]` in recorder time.
+    pub(crate) fn on_stw_end(&self, start_ns: u64, end_ns: u64) {
         self.pauses.inc();
         self.hub.record_pause_ns(start_ns, end_ns);
-        self.hub.emit(
-            EventKind::StwEnd,
-            cycle as u32,
-            end_ns.saturating_sub(start_ns),
-        );
-    }
-
-    pub(crate) fn on_sweep_start(&self, cycle: u64, lazy: bool) {
-        self.hub
-            .emit(EventKind::SweepStart, cycle as u32, lazy as u64);
-    }
-
-    pub(crate) fn on_sweep_end(&self, cycle: u64, live_objects: u64) {
-        self.hub
-            .emit(EventKind::SweepEnd, cycle as u32, live_objects);
     }
 
     /// One straggler fence completed: the previous sweep epoch's last
@@ -292,43 +266,20 @@ impl GcTelemetry {
         self.hub.record_straggler_ns(ns);
     }
 
-    /// A completed lazy-sweep plan was retired; `free_bytes` is the free
-    /// space after the last chunk was swept.
-    pub(crate) fn on_lazy_retired(&self, cycle: u64, free_bytes: u64) {
+    /// A completed lazy-sweep plan was retired.
+    pub(crate) fn on_lazy_retired(&self) {
         self.lazy_retirements.inc();
-        self.hub
-            .emit(EventKind::LazySweepRetired, cycle as u32, free_bytes);
     }
 
-    /// One §5.3 card-snapshot handshake registered `cards` dirty cards.
-    pub(crate) fn on_handshake(&self, cycle: u64, cards: u64) {
-        self.hub.emit(EventKind::Handshake, cycle as u32, cards);
-    }
-
-    /// One tracing increment finished: `bytes` of work in
-    /// `end_ns - start_ns`. Publishes the per-increment event and feeds
-    /// the increment-latency histogram.
-    pub(crate) fn on_increment(
-        &self,
-        role: TraceRole,
-        cycle: u64,
-        bytes: u64,
-        start_ns: u64,
-        end_ns: u64,
-    ) {
-        let kind = match role {
-            TraceRole::Mutator => {
-                self.increments_mutator.inc();
-                EventKind::MutatorIncrement
-            }
-            TraceRole::Background => {
-                self.increments_background.inc();
-                EventKind::BackgroundIncrement
-            }
-        };
-        self.hub
-            .record_increment_ns(end_ns.saturating_sub(start_ns));
-        self.hub.emit(kind, cycle as u32, bytes);
+    /// One productive tracing increment finished after `ns` nanoseconds
+    /// (its span's duration): counts it and feeds the increment-latency
+    /// histogram.
+    pub(crate) fn on_increment(&self, role: TraceRole, ns: u64) {
+        match role {
+            TraceRole::Mutator => self.increments_mutator.inc(),
+            TraceRole::Background => self.increments_background.inc(),
+        }
+        self.hub.record_increment_ns(ns);
     }
 
     /// A tracing stint returned its [`WorkBuffer`]: fold the packets it
@@ -414,8 +365,7 @@ impl GcTelemetry {
     }
 
     /// Cycle accounting is final: fold the per-cycle stats into the
-    /// cumulative counters and emit the replayable `CycleStat*`/`CycleEnd`
-    /// batch the §6 tables are rebuilt from.
+    /// cumulative counters.
     pub(crate) fn on_cycle_end(&self, stats: &CycleStats) {
         self.traced_mutator_bytes.add(stats.mutator_traced_bytes);
         self.traced_background_bytes
@@ -433,7 +383,6 @@ impl GcTelemetry {
         self.pause_drain_ns.add(stats.drain_wall.as_nanos() as u64);
         self.pause_sweep_ns.add(stats.sweep_wall.as_nanos() as u64);
         self.pause_clear_ns.add(stats.clear_wall.as_nanos() as u64);
-        emit_cycle_events(&self.hub, stats);
     }
 
     // ------------------------------------------------------------------

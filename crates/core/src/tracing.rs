@@ -165,12 +165,11 @@ impl Gc {
         if quota == 0 || !self.in_concurrent_phase() {
             return 0;
         }
-        let start_ns = if self.tel.hub.is_enabled() {
-            Some(self.tel.hub.now_ns())
-        } else {
-            None
-        };
-        let mut incr_span = self.tel.hub.spans().span(
+        // Timed: its duration is the increment-latency sample, recorded
+        // or not.
+        let spans = self.tel.hub.spans();
+        let mut incr_span = spans.timed(
+            spans.current_track(),
             match role {
                 TraceRole::Mutator => SpanKind::MutatorIncrement,
                 TraceRole::Background => SpanKind::BackgroundIncrement,
@@ -222,11 +221,9 @@ impl Gc {
             .on_packet_claims(buf.input_claims(), buf.output_claims());
         buf.finish();
         incr_span.set_arg(done);
-        if let Some(start) = start_ns {
-            if done > 0 {
-                self.tel
-                    .on_increment(role, self.cycle(), done, start, self.tel.hub.now_ns());
-            }
+        let wall = incr_span.finish();
+        if done > 0 {
+            self.tel.on_increment(role, wall.as_nanos() as u64);
         }
         done
     }
@@ -326,7 +323,6 @@ impl Gc {
             drop(cs);
             self.card_handshake(requester);
             self.counters.handshakes.fetch_add(1, Ordering::Relaxed);
-            self.tel.on_handshake(self.cycle(), found.len() as u64);
             self.card_state.lock().registry.extend(found);
             // Loop back: drain from the registry (possibly racing other
             // cleaners for these cards, which is fine — they fenced too).

@@ -40,7 +40,7 @@
 //!   unlocked predicate costs. Timed waits (`wait_for`) are exempt — their callers
 //!   tolerate spurious returns by construction — as is
 //!   `crates/membar/src/sync.rs`, which implements the wrapper itself.
-//! * **seqlock-read-section** — the telemetry rings' speculative read
+//! * **seqlock-read-section** — the span rings' speculative read
 //!   windows are bracketed by `seqlock-read: begin`/`end` marker
 //!   comments. Inside a section no stores, RMWs, `return`s or `break`s
 //!   are allowed (the copied words are garbage until revalidated), and
@@ -90,9 +90,7 @@ pub const ORDERING_ALLOWLIST: &[&str] = &[
     "crates/packets/src/pool.rs",
     "crates/bench/benches/telemetry_overhead.rs",
     "crates/telemetry/src/histogram.rs",
-    "crates/telemetry/src/lib.rs",
     "crates/telemetry/src/registry.rs",
-    "crates/telemetry/src/ring.rs",
     "crates/telemetry/src/spans.rs",
     "crates/workloads/src/framework.rs",
     "crates/workloads/src/javac.rs",
@@ -104,11 +102,8 @@ pub const ORDERING_ALLOWLIST: &[&str] = &[
 ];
 
 /// Files that must contain at least one `seqlock-read: begin`/`end`
-/// section (the telemetry rings' speculative read windows).
-pub const SEQLOCK_FILES: &[&str] = &[
-    "crates/telemetry/src/ring.rs",
-    "crates/telemetry/src/spans.rs",
-];
+/// section (the span rings' speculative read windows).
+pub const SEQLOCK_FILES: &[&str] = &["crates/telemetry/src/spans.rs"];
 
 /// Atomics mirrored by a `crates/check` model: `(file, idents, model)`.
 /// A relaxed operation on one of these (`ident.load(Ordering::Relaxed)`
@@ -117,11 +112,6 @@ pub const SEQLOCK_FILES: &[&str] = &[
 pub const MODELED_ATOMICS: &[(&str, &[&str], &str)] = &[
     (
         "crates/telemetry/src/spans.rs",
-        &["seq", "cursor"],
-        "seqlock_model",
-    ),
-    (
-        "crates/telemetry/src/ring.rs",
         &["seq", "cursor"],
         "seqlock_model",
     ),
@@ -1100,9 +1090,9 @@ mod tests {
                     Some(a)\n\
                     }\n";
         assert!(
-            lint_source("crates/telemetry/src/ring.rs", good).is_empty(),
+            lint_source("crates/telemetry/src/spans.rs", good).is_empty(),
             "{:?}",
-            lint_source("crates/telemetry/src/ring.rs", good)
+            lint_source("crates/telemetry/src/spans.rs", good)
         );
 
         // A store inside the window is flagged.
@@ -1110,7 +1100,7 @@ mod tests {
             "let a = slot.val.load(Ordering::Relaxed);",
             "slot.val.store(0, Ordering::Relaxed);",
         );
-        let f = lint_source("crates/telemetry/src/ring.rs", &store);
+        let f = lint_source("crates/telemetry/src/spans.rs", &store);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "seqlock-read-section");
         assert!(f[0].message.contains("a store"), "{}", f[0].message);
@@ -1120,7 +1110,7 @@ mod tests {
             "let a = slot.val.load(Ordering::Relaxed);",
             "if bad { return None; }",
         );
-        let f = lint_source("crates/telemetry/src/ring.rs", &ret);
+        let f = lint_source("crates/telemetry/src/spans.rs", &ret);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("a return"), "{}", f[0].message);
 
@@ -1134,7 +1124,7 @@ mod tests {
                            h(a);\n\
                            i(a);\n\
                            }\n";
-        let f = lint_source("crates/telemetry/src/ring.rs", unvalidated);
+        let f = lint_source("crates/telemetry/src/spans.rs", unvalidated);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("revalidating"), "{}", f[0].message);
 
@@ -1149,7 +1139,7 @@ mod tests {
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].message.contains("never ended"));
 
-        // The ring files must keep at least one marked section.
+        // The seqlock files must keep at least one marked section.
         let markerless = "fn r() {}\n";
         for file in SEQLOCK_FILES {
             let f = lint_source(file, markerless);
@@ -1204,7 +1194,7 @@ mod tests {
 
         // Non-Relaxed orderings on modeled atomics need no citation.
         let acq = "fn f(s: &S) -> u64 {\n    s.seq.load(Ordering::Acquire)\n}\n";
-        let f = lint_source("crates/telemetry/src/ring.rs", acq);
+        let f = lint_source("crates/telemetry/src/spans.rs", acq);
         assert!(f.iter().all(|f| f.rule == "seqlock-read-section"), "{f:?}");
     }
 

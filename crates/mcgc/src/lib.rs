@@ -14,8 +14,8 @@
 //!   and mark bit vectors, card table, free list, bitwise sweep);
 //! * [`membar`](mcgc_membar) — counted fences and the weak-memory litmus
 //!   simulator (§5);
-//! * [`telemetry`](mcgc_telemetry) — live observability: the phase-event
-//!   ring buffer, pause/increment histograms, and the metrics registry;
+//! * [`telemetry`](mcgc_telemetry) — live observability: the span flight
+//!   recorder, pause/increment histograms, and the metrics registry;
 //! * [`workloads`](mcgc_workloads) — SPECjbb/pBOB/javac-like synthetic
 //!   workloads (§6).
 //!
@@ -58,7 +58,7 @@ pub mod membar {
     pub use mcgc_membar::*;
 }
 
-/// Live telemetry: event ring, histograms, metrics registry.
+/// Live telemetry: flight recorder, histograms, metrics registry.
 pub mod telemetry {
     pub use mcgc_telemetry::*;
 }

@@ -1,43 +1,31 @@
-//! Live GC telemetry: a phase-event ring buffer, log-scaled latency
+//! Live GC telemetry: a span flight recorder, log-scaled latency
 //! histograms, and a counter/gauge registry — dependency-free, wait-free
 //! on every hot path, queryable mid-run.
 //!
 //! # Architecture
 //!
-//! [`Telemetry`] bundles four always-on pieces:
+//! [`Telemetry`] bundles three always-on pieces:
 //!
-//! - an [`EventRing`]: a fixed-capacity lock-free ring of timestamped
-//!   [`GcEvent`]s recording phase transitions (kickoff, concurrent end,
-//!   handshakes, STW start/end, sweep) and per-increment tracing events.
-//!   Writers claim slots with one `fetch_add`; thread-local [`EventStage`]
-//!   buffers batch per-increment events so the hot path pays a single
-//!   flush per increment.
-//! - two [`LogHistogram`]s (power-of-two buckets) for stop-the-world
-//!   pause and tracing-increment latencies, with p50/p90/p99/max and mean
-//!   queryable at any time, plus a [`UtilizationTracker`] answering
-//!   MMU-style minimum-mutator-utilization queries over sliding windows.
+//! - a [`SpanRecorder`]: per-thread seqlock rings of completed spans
+//!   (pause phases, scheduler buckets and jobs, tracing increments,
+//!   handshakes, kickoff decisions, sweep chunks). It is the hub's one
+//!   clock: [`Telemetry::now_ns`] and the enable flag are the recorder's,
+//!   and the collector's measured pause-phase walls are the durations of
+//!   its timed span guards ([`SpanRecorder::timed`]).
+//! - [`LogHistogram`]s (power-of-two buckets) for stop-the-world pause,
+//!   tracing-increment, allocation-stall and straggler-fence latencies,
+//!   with p50/p90/p99/max and mean queryable at any time, plus a
+//!   [`UtilizationTracker`] answering MMU-style minimum-mutator-utilization
+//!   queries over sliding windows.
 //! - a [`MetricsRegistry`] of named counters (bytes traced by
 //!   mutator/background/STW, cards cleaned, CAS ops, handshakes, ...) and
 //!   gauges (packet sub-pool occupancy, pacer estimates K0/L/M/B, heap
 //!   occupancy) with text and JSON exporters.
 //!
-//! # Event taxonomy
-//!
-//! Phase events ([`EventKind`]): `Kickoff` (arg = free bytes),
-//! `ConcurrentEnd` (arg = trigger code), `Handshake` (arg = cards
-//! cleaned), `StwStart` (arg = trigger code), `StwEnd` (arg = wall pause
-//! ns), `SweepStart` (arg = 0 eager / 1 lazy), `SweepEnd` (arg = live
-//! objects; 0 for lazy epochs, whose live count is not known until the
-//! epoch retires), `LazySweepRetired` (arg = free bytes after
-//! retirement),
-//! `MutatorIncrement` / `BackgroundIncrement` (arg = bytes traced).
-//!
-//! Per-cycle statistics are emitted as a contiguous batch of
-//! `CycleStat(field)` events terminated by `CycleEnd`. Each stat event's
-//! `arg` carries the raw field value — `f64::to_bits` for floating-point
-//! fields — so a `GcLog` rebuilt by replaying the stream is **bit-for-bit
-//! identical** to the collector's direct accounting; the paper's §6
-//! tables and a live view can never disagree.
+//! Phase facts travel as span payloads: `pacer.kickoff` carries the free
+//! bytes at kickoff, `gc.pause` the trigger code, `trace.handshake` the
+//! ack outcome, and the increment spans the bytes traced; see
+//! [`SpanKind`].
 //!
 //! # Exporter formats
 //!
@@ -46,10 +34,12 @@
 //! places) — Prometheus exposition style without type annotations.
 //! [`MetricsRegistry::render_json`] emits a flat, name-sorted JSON object
 //! `{"name": value, ...}`; non-finite gauges render as `null`.
+//! [`export_chrome_trace`] renders the span rings as Perfetto-loadable
+//! Chrome trace JSON.
 //!
 //! # Overhead
 //!
-//! Recording an event is one `fetch_add` plus five plain stores; a
+//! Recording a span is one ticket `fetch_add` plus six atomic stores; a
 //! histogram sample is four relaxed RMWs; a counter bump is one. The
 //! whole pipeline can be disabled at runtime ([`Telemetry::set_enabled`])
 //! for A/B overhead measurement — `benches/telemetry_overhead.rs` in the
@@ -58,7 +48,6 @@
 
 pub mod histogram;
 pub mod registry;
-pub mod ring;
 pub mod spans;
 pub mod trace_export;
 
@@ -66,154 +55,73 @@ pub use histogram::{
     bucket_index, bucket_upper_bound, HistogramSnapshot, LogHistogram, UtilizationTracker,
 };
 pub use registry::{Counter, Gauge, MetricsRegistry};
-pub use ring::{EventKind, EventRing, GcEvent, StatField};
 pub use spans::{Span, SpanGuard, SpanKind, SpanRecorder, SpanRing, TrackId};
 pub use trace_export::{
     export_chrome_trace, pause_postmortems, validate_chrome_trace, Postmortem, TraceStats,
 };
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Default event-ring capacity (events retained before overwrite).
-pub const DEFAULT_RING_CAPACITY: usize = 32 * 1024;
-
-/// A thread-local staging buffer: build up the events of one tracing
-/// increment locally, then publish them with a single claim on the ring
-/// cursor. Keeps per-object work entirely off shared cache lines.
-#[derive(Debug, Default)]
-pub struct EventStage {
-    buf: Vec<GcEvent>,
-}
-
-impl EventStage {
-    pub fn new() -> EventStage {
-        EventStage::default()
-    }
-
-    #[inline]
-    pub fn push(&mut self, ev: GcEvent) {
-        self.buf.push(ev);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Publishes everything staged as one contiguous batch and empties
-    /// the stage (retaining its allocation).
-    pub fn flush_into(&mut self, ring: &EventRing) {
-        ring.publish_batch(&self.buf);
-        self.buf.clear();
-    }
-}
 
 /// The telemetry hub a collector embeds. All methods are safe to call
 /// from any thread; everything on a hot path is wait-free.
 #[derive(Debug)]
 pub struct Telemetry {
-    epoch: Instant,
-    enabled: AtomicBool,
-    ring: EventRing,
     pause_ns: LogHistogram,
     increment_ns: LogHistogram,
     alloc_stall_ns: LogHistogram,
     straggler_ns: LogHistogram,
     registry: MetricsRegistry,
     utilization: UtilizationTracker,
-    /// The flight recorder (shared so the scheduler, heap, and exporters
-    /// can hold their own handle). Timestamps share this hub's epoch.
+    /// The flight recorder and the hub's clock (shared so the scheduler,
+    /// heap, and exporters can hold their own handle).
     spans: Arc<SpanRecorder>,
 }
 
 impl Default for Telemetry {
     fn default() -> Telemetry {
-        Telemetry::new(DEFAULT_RING_CAPACITY)
+        Telemetry::new()
     }
 }
 
 impl Telemetry {
-    /// Creates a hub whose ring retains `ring_capacity` events.
-    pub fn new(ring_capacity: usize) -> Telemetry {
-        let epoch = Instant::now();
+    pub fn new() -> Telemetry {
         Telemetry {
-            epoch,
-            enabled: AtomicBool::new(true),
-            ring: EventRing::new(ring_capacity),
             pause_ns: LogHistogram::new(),
             increment_ns: LogHistogram::new(),
             alloc_stall_ns: LogHistogram::new(),
             straggler_ns: LogHistogram::new(),
             registry: MetricsRegistry::new(),
             utilization: UtilizationTracker::new(),
-            spans: Arc::new(SpanRecorder::with_epoch(
-                epoch,
-                spans::DEFAULT_TRACK_CAPACITY,
-            )),
+            spans: Arc::new(SpanRecorder::new(spans::DEFAULT_TRACK_CAPACITY)),
         }
     }
 
-    /// Nanoseconds since this hub was created (the event timestamp base).
+    /// Nanoseconds since the hub was created (the flight recorder's
+    /// timestamp base).
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
+        self.spans.now_ns()
     }
 
     /// Whether recording is on (it is by default). When off, every
-    /// `emit`/`record` call is a single relaxed load and a branch —
-    /// this is the "disabled" arm of the overhead benchmark.
+    /// histogram `record` and span guard is a single relaxed load and a
+    /// branch — this is the "disabled" arm of the overhead benchmark.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.spans.is_enabled()
     }
 
     /// Toggles the whole pipeline, flight recorder included (the A/B
     /// overhead benchmark's "off" arm).
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
         self.spans.set_enabled(on);
     }
 
-    /// The flight recorder: per-thread span rings sharing this hub's
-    /// timestamp epoch. Clone the `Arc` to hand subsystems (the GC
-    /// scheduler, the heap's free list) their own recording handle.
+    /// The flight recorder: per-thread span rings on the hub's clock.
+    /// Clone the `Arc` to hand subsystems (the GC scheduler, the heap's
+    /// free list) their own recording handle.
     pub fn spans(&self) -> &Arc<SpanRecorder> {
         &self.spans
-    }
-
-    /// Publishes one event timestamped now.
-    #[inline]
-    pub fn emit(&self, kind: EventKind, cycle: u32, arg: u64) {
-        if self.is_enabled() {
-            self.ring.publish(GcEvent {
-                ts_ns: self.now_ns(),
-                cycle,
-                kind,
-                arg,
-            });
-        }
-    }
-
-    /// Stages one event (timestamped now) into a thread-local buffer for
-    /// a later [`Telemetry::flush`].
-    #[inline]
-    pub fn stage(&self, stage: &mut EventStage, kind: EventKind, cycle: u32, arg: u64) {
-        if self.is_enabled() {
-            stage.push(GcEvent {
-                ts_ns: self.now_ns(),
-                cycle,
-                kind,
-                arg,
-            });
-        }
-    }
-
-    /// Publishes a staged batch contiguously.
-    pub fn flush(&self, stage: &mut EventStage) {
-        if !stage.is_empty() {
-            stage.flush_into(&self.ring);
-        }
     }
 
     /// Records a stop-the-world pause `[start_ns, end_ns]`: feeds the
@@ -265,15 +173,6 @@ impl Telemetry {
             .minimum_utilization(self.now_ns(), window_ns)
     }
 
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
-    }
-
-    /// A copy of the retained events, oldest first.
-    pub fn events(&self) -> Vec<GcEvent> {
-        self.ring.snapshot()
-    }
-
     pub fn pause_histogram(&self) -> &LogHistogram {
         &self.pause_ns
     }
@@ -304,30 +203,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn emit_and_snapshot() {
-        let t = Telemetry::new(128);
-        t.emit(EventKind::Kickoff, 1, 4096);
-        t.emit(EventKind::StwStart, 1, 0);
-        let evs = t.events();
-        assert_eq!(evs.len(), 2);
-        assert_eq!(evs[0].kind, EventKind::Kickoff);
-        assert_eq!(evs[0].arg, 4096);
-        assert!(evs[1].ts_ns >= evs[0].ts_ns);
-    }
-
-    #[test]
     fn disabled_records_nothing() {
-        let t = Telemetry::new(128);
+        let t = Telemetry::new();
         t.set_enabled(false);
-        t.emit(EventKind::Kickoff, 1, 0);
+        assert!(!t.spans().is_enabled(), "one flag for the whole hub");
         t.record_pause_ns(0, 1_000_000);
         t.record_increment_ns(500);
         t.record_alloc_stall_ns(500);
         t.record_straggler_ns(500);
-        let mut stage = EventStage::new();
-        t.stage(&mut stage, EventKind::Handshake, 1, 1);
-        t.flush(&mut stage);
-        assert!(t.events().is_empty());
+        drop(t.spans().span(SpanKind::Handshake, 1));
+        assert!(t.spans().all_spans().is_empty());
         assert_eq!(t.pause_histogram().count(), 0);
         assert_eq!(t.increment_histogram().count(), 0);
         assert_eq!(t.alloc_stall_histogram().count(), 0);
@@ -335,25 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn staged_flush_is_one_batch() {
-        let t = Telemetry::new(128);
-        let mut stage = EventStage::new();
-        for i in 0..4 {
-            t.stage(&mut stage, EventKind::MutatorIncrement, 2, i);
-        }
-        assert!(t.events().is_empty(), "nothing published before flush");
-        t.flush(&mut stage);
-        assert!(stage.is_empty());
-        let evs = t.events();
-        assert_eq!(evs.len(), 4);
-        for (i, e) in evs.iter().enumerate() {
-            assert_eq!(e.arg, i as u64);
-        }
-    }
-
-    #[test]
     fn pause_feeds_histogram_and_utilization() {
-        let t = Telemetry::new(128);
+        let t = Telemetry::new();
+        // The pause below must lie in the hub's past, or the trailing
+        // window sees none of it.
+        std::thread::sleep(std::time::Duration::from_millis(3));
         t.record_pause_ns(1_000, 2_000_000);
         assert_eq!(t.pause_histogram().count(), 1);
         assert!(t.pause_histogram().max() >= 1_900_000);

@@ -11,18 +11,23 @@
 //! are overwritten, so the recorder is bounded-memory and safe to leave
 //! **always on**.
 //!
-//! The rings use the same seqlock slot protocol as the event ring in
-//! [`crate::ring`]: a writer claims a ticket with one `fetch_add`, marks
-//! the slot odd, fills the payload with relaxed stores, and marks it even
-//! with a release store; readers re-check the sequence word after copying
-//! and discard torn or lapped slots. Crucially a slot holds a *complete*
-//! span — begin and end timestamps are written together when the
-//! [`SpanGuard`] drops — so a snapshot can never observe a torn or
-//! unmatched begin/end pair by construction.
+//! The rings use a seqlock slot protocol: a writer claims a ticket with
+//! one `fetch_add`, marks the slot odd, fills the payload with relaxed
+//! stores, and marks it even with a release store; readers re-check the
+//! sequence word after copying and discard torn or lapped slots.
+//! Crucially a slot holds a *complete* span — begin and end timestamps
+//! are written together when the [`SpanGuard`] closes — so a snapshot can
+//! never observe a torn or unmatched begin/end pair by construction.
 //!
 //! Recording is zero-allocation: a guard is five words on the stack, and
 //! its drop is one ticket claim plus six atomic stores. When recording is
 //! disabled, creating a guard is one relaxed load and a branch.
+//!
+//! The recorder is also the collector's only clock. A *timed* guard
+//! ([`SpanRecorder::timed`]) reads the clock even when recording is off
+//! or no track is available, and [`SpanGuard::finish`] returns the
+//! elapsed time it measured: the pause-phase walls in the collector's
+//! cycle statistics are the very begin/end pairs their spans record.
 //!
 //! Threads register themselves lazily: the first span a thread records
 //! against a recorder claims a track slot and names it after the thread
@@ -39,7 +44,7 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Maximum number of tracks (threads + the coordinator) per recorder.
 pub const MAX_TRACKS: usize = 64;
@@ -126,11 +131,15 @@ pub enum SpanKind {
     /// One unswept chunk drained by the background sweeper soaking idle
     /// cycles (arg = chunk index).
     BgSweepChunk,
+    /// The sweep epoch's completion fence: the coordinator finishing the
+    /// chunks the previous epoch left unswept, before the world stops or
+    /// the next cycle begins (coordinator track; arg = straggler chunks).
+    StragglerFence,
 }
 
 impl SpanKind {
     /// All variants in discriminant order (index == `as u8`).
-    pub const ALL: [SpanKind; 26] = [
+    pub const ALL: [SpanKind; 27] = [
         SpanKind::Cycle,
         SpanKind::Pause,
         SpanKind::PauseRetire,
@@ -157,6 +166,7 @@ impl SpanKind {
         SpanKind::WildernessRefill,
         SpanKind::RefillSweepChunk,
         SpanKind::BgSweepChunk,
+        SpanKind::StragglerFence,
     ];
 
     /// The top-level pause phases: spans of these kinds tile the pause
@@ -207,6 +217,7 @@ impl SpanKind {
             SpanKind::WildernessRefill => "shard.wilderness_refill",
             SpanKind::RefillSweepChunk => "sweep.refill_chunk",
             SpanKind::BgSweepChunk => "sweep.bg_chunk",
+            SpanKind::StragglerFence => "sweep.straggler_fence",
         }
     }
 }
@@ -236,8 +247,7 @@ impl Span {
 }
 
 struct SpanSlot {
-    /// `2 * ticket + 1` mid-write, `2 * ticket + 2` complete (the same
-    /// seqlock protocol as [`crate::ring::EventRing`]).
+    /// `2 * ticket + 1` mid-write, `2 * ticket + 2` complete.
     seq: AtomicU64,
     begin_ns: AtomicU64,
     end_ns: AtomicU64,
@@ -422,12 +432,11 @@ pub struct SpanRecorder {
 
 impl SpanRecorder {
     /// Creates a recorder whose per-track rings retain `track_capacity`
-    /// spans, timestamping against `epoch` (share the owning telemetry
-    /// hub's epoch so span and event timestamps line up).
-    pub fn with_epoch(epoch: Instant, track_capacity: usize) -> SpanRecorder {
+    /// spans. Timestamps count from this call.
+    pub fn new(track_capacity: usize) -> SpanRecorder {
         SpanRecorder {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
-            epoch,
+            epoch: Instant::now(),
             enabled: AtomicBool::new(true),
             cycle: AtomicU32::new(0),
             track_capacity,
@@ -435,10 +444,6 @@ impl SpanRecorder {
             tracks: (0..MAX_TRACKS).map(|_| OnceLock::new()).collect(),
             counters: Mutex::new(std::collections::VecDeque::new()),
         }
-    }
-
-    pub fn new(track_capacity: usize) -> SpanRecorder {
-        SpanRecorder::with_epoch(Instant::now(), track_capacity)
     }
 
     /// Nanoseconds since the recorder epoch.
@@ -500,8 +505,12 @@ impl SpanRecorder {
     }
 
     /// The calling thread's track for this recorder, registering it
-    /// (named after the thread) on first use.
+    /// (named after the thread) on first use. `None` while recording is
+    /// off (nothing is registered then) or once every track slot is taken.
     pub fn current_track(&self) -> Option<TrackId> {
+        if !self.is_enabled() {
+            return None;
+        }
         THREAD_TRACKS.with(|tls| {
             let mut v = tls.borrow_mut();
             if let Some((_, t)) = v.iter().find(|(id, _)| *id == self.id) {
@@ -519,26 +528,26 @@ impl SpanRecorder {
 
     /// Opens a span on the calling thread's track, beginning now. The
     /// span is recorded when the guard drops. Zero-allocation after the
-    /// thread's one-time track registration.
+    /// thread's one-time track registration; while recording is off the
+    /// guard is inert and reads no clock.
     #[inline]
     pub fn span(&self, kind: SpanKind, arg: u64) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard::inert();
-        }
         match self.current_track() {
-            Some(track) => self.span_on(track, kind, arg),
+            Some(track) => self.timed(Some(track), kind, arg),
             None => SpanGuard::inert(),
         }
     }
 
-    /// Opens a span on an explicit track (coordinator-track spans).
+    /// Opens a *timed* span beginning now: unlike [`SpanRecorder::span`],
+    /// it reads the clock even when recording is off or `track` is
+    /// `None`, so [`SpanGuard::finish`] always returns the measured
+    /// elapsed time. The span itself is recorded on `track` only while
+    /// recording is on.
     #[inline]
-    pub fn span_on(&self, track: TrackId, kind: SpanKind, arg: u64) -> SpanGuard<'_> {
-        if !self.is_enabled() {
-            return SpanGuard::inert();
-        }
+    pub fn timed(&self, track: Option<TrackId>, kind: SpanKind, arg: u64) -> SpanGuard<'_> {
         SpanGuard {
-            rec: Some((self, track)),
+            clock: Some(self),
+            track: track.filter(|_| self.is_enabled()),
             kind,
             cycle: self.current_cycle(),
             begin_ns: self.now_ns(),
@@ -644,12 +653,18 @@ impl std::fmt::Debug for SpanRecorder {
     }
 }
 
-/// RAII span guard: records `[construction, drop]` as one completed span
-/// on drop. Inert guards (recorder disabled, track slots exhausted) cost
-/// nothing beyond the constructor's branch.
+/// RAII span guard: records `[construction, close]` as one completed
+/// span when it drops or [`SpanGuard::finish`]es. Inert guards (recorder
+/// disabled, track slots exhausted) cost nothing beyond the
+/// constructor's branch; timed guards ([`SpanRecorder::timed`]) always
+/// measure, whether or not they record.
 #[must_use = "a span guard measures its own lifetime; bind it with `let _span = ...`"]
 pub struct SpanGuard<'r> {
-    rec: Option<(&'r SpanRecorder, TrackId)>,
+    /// The recorder whose clock stamped `begin_ns`; `None` for an inert
+    /// guard (and once the span is closed).
+    clock: Option<&'r SpanRecorder>,
+    /// Where the span is recorded on close; `None` measures only.
+    track: Option<TrackId>,
     kind: SpanKind,
     cycle: u32,
     begin_ns: u64,
@@ -659,12 +674,55 @@ pub struct SpanGuard<'r> {
 impl SpanGuard<'_> {
     fn inert() -> SpanGuard<'static> {
         SpanGuard {
-            rec: None,
+            clock: None,
+            track: None,
             kind: SpanKind::Cycle,
             cycle: 0,
             begin_ns: 0,
             arg: 0,
         }
+    }
+
+    /// The span's begin timestamp (recorder time; 0 for an inert guard).
+    #[inline]
+    pub fn begin_ns(&self) -> u64 {
+        self.begin_ns
+    }
+
+    /// Time since the span began, reading the clock without closing the
+    /// span (zero for an inert guard).
+    #[inline]
+    pub fn elapsed(&self) -> Duration {
+        self.clock.map_or(Duration::ZERO, |rec| {
+            Duration::from_nanos(rec.now_ns().saturating_sub(self.begin_ns))
+        })
+    }
+
+    /// Closes the span now: records it (if it records) and returns its
+    /// duration — the same begin/end pair the recorded span carries.
+    #[inline]
+    pub fn finish(mut self) -> Duration {
+        self.close()
+    }
+
+    fn close(&mut self) -> Duration {
+        let Some(rec) = self.clock.take() else {
+            return Duration::ZERO;
+        };
+        let end_ns = rec.now_ns();
+        if let Some(track) = self.track {
+            rec.record_on(
+                track,
+                Span {
+                    begin_ns: self.begin_ns,
+                    end_ns,
+                    cycle: self.cycle,
+                    kind: self.kind,
+                    arg: self.arg,
+                },
+            );
+        }
+        Duration::from_nanos(end_ns.saturating_sub(self.begin_ns))
     }
 
     /// Replaces the span's payload (e.g. with a count known only at the
@@ -690,18 +748,7 @@ impl SpanGuard<'_> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        if let Some((rec, track)) = self.rec {
-            rec.record_on(
-                track,
-                Span {
-                    begin_ns: self.begin_ns,
-                    end_ns: rec.now_ns(),
-                    cycle: self.cycle,
-                    kind: self.kind,
-                    arg: self.arg,
-                },
-            );
-        }
+        self.close();
     }
 }
 
@@ -745,8 +792,41 @@ mod tests {
         r.set_enabled(false);
         drop(r.span(SpanKind::Pause, 0));
         r.record_counter("x", 1.0);
+        assert_eq!(r.current_track(), None, "no track registered while off");
         assert!(r.tracks().is_empty());
         assert!(r.counter_points().is_empty());
+    }
+
+    #[test]
+    fn timed_guard_measures_whether_or_not_it_records() {
+        let r = SpanRecorder::new(64);
+        let coord = r.named_track("gc coordinator").unwrap();
+        let g = r.timed(Some(coord), SpanKind::PauseDrain, 3);
+        std::thread::sleep(Duration::from_millis(1));
+        let wall = g.finish();
+        let spans = r.all_spans();
+        assert_eq!(spans.len(), 1, "finish records once, drop adds nothing");
+        let (track, s) = spans[0];
+        assert_eq!((track, s.kind, s.arg), (coord, SpanKind::PauseDrain, 3));
+        assert_eq!(
+            Duration::from_nanos(s.duration_ns()),
+            wall,
+            "one clock pair"
+        );
+        // No track, or recording off: the guard still measures but
+        // records nothing.
+        let g = r.timed(None, SpanKind::PauseSweep, 0);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(g.elapsed() >= Duration::from_millis(1));
+        assert!(g.finish() >= Duration::from_millis(1));
+        r.set_enabled(false);
+        let g = r.timed(Some(coord), SpanKind::PauseSweep, 0);
+        assert!(g.begin_ns() > 0);
+        std::thread::sleep(Duration::from_millis(1));
+        assert!(g.finish() >= Duration::from_millis(1));
+        assert_eq!(r.all_spans().len(), 1);
+        // An inert guard measures nothing.
+        assert_eq!(r.span(SpanKind::PauseSweep, 0).finish(), Duration::ZERO);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! `gc_top` — a live, `top`-style one-line-per-second view of the
-//! collector, driven entirely by the telemetry hub (event ring,
-//! histograms, gauges). Runs a jbb-style workload in the background and
-//! prints, each second: phase, cycle, pause p50/p99/max, minimum mutator
-//! utilization, heap and packet-pool occupancy, bytes traced by
-//! mutators/background/STW, and the pacer's §3 estimates.
+//! collector, driven entirely by the telemetry hub (histograms, gauges,
+//! flight-recorder postmortem). Runs a jbb-style workload in the
+//! background and prints, each second: phase, cycle, pause p50/p99/max,
+//! minimum mutator utilization, heap and packet-pool occupancy, bytes
+//! traced by mutators/background/STW, and the pacer's §3 estimates.
 //!
 //! ```text
 //! cargo run --release --example gc_top [seconds] [heap_mb]

@@ -1,15 +1,15 @@
 //! End-to-end flight-recorder tests: a live collector must emit a trace
 //! that validates against the Chrome trace-event schema with the
 //! expected tracks, the worst-pause postmortem must attribute (nearly)
-//! all pause wall time to phase spans — the ISSUE's ≥ 95% acceptance
-//! criterion — and every registry metric must follow the
+//! all pause wall time to phase spans (≥ 95%, in both collector modes),
+//! and every registry metric must follow the
 //! `gc_`/`heap_` naming convention.
 
 use std::collections::BTreeMap;
 
 use mcgc::telemetry::trace_export::worst_pause_postmortem;
 use mcgc::telemetry::{export_chrome_trace, validate_chrome_trace, SpanKind};
-use mcgc::{Gc, GcConfig, ObjectShape};
+use mcgc::{CollectorMode, Gc, GcConfig, ObjectShape};
 
 fn small_config() -> GcConfig {
     let mut c = GcConfig::with_heap_bytes(4 << 20);
@@ -64,25 +64,41 @@ fn live_trace_validates_with_expected_tracks() {
 }
 
 /// The acceptance criterion: the worst recorded pause attributes at
-/// least 95% of its wall time to pause-phase spans.
+/// least 95% of its wall time to pause-phase spans — in the concurrent
+/// collector and in the stop-the-world baseline, whose pauses open their
+/// own cycle (every `gc.pause` span must carry the number of the cycle
+/// it completed, or the postmortem cannot find its phases).
 #[test]
 fn worst_pause_postmortem_attributes_wall_time() {
-    let gc = Gc::new(small_config());
-    churn(&gc, 4);
-    gc.shutdown();
-    let pm = worst_pause_postmortem(gc.telemetry().spans()).expect("pauses recorded");
-    assert!(pm.wall_ns > 0);
-    assert!(
-        pm.coverage >= 0.95,
-        "phase spans cover {:.1}% of the worst pause (need >= 95%)",
-        pm.coverage * 100.0
-    );
-    assert!(!pm.phases.is_empty());
-    // Postmortem gauges are published through the registry.
-    gc.telemetry_sample();
-    let m: BTreeMap<String, f64> = gc.telemetry().registry().sample().into_iter().collect();
-    assert!(m["gc_postmortem_coverage"] >= 0.95);
-    assert!(m["gc_postmortem_pause_wall_ns"] > 0.0);
+    for mode in [CollectorMode::Concurrent, CollectorMode::StopTheWorld] {
+        let mut cfg = small_config();
+        cfg.mode = mode;
+        let gc = Gc::new(cfg);
+        churn(&gc, 4);
+        gc.shutdown();
+        let pm = worst_pause_postmortem(gc.telemetry().spans()).expect("pauses recorded");
+        assert!(pm.wall_ns > 0);
+        assert!(
+            pm.coverage >= 0.95,
+            "{mode:?}: phase spans cover {:.1}% of the worst pause (need >= 95%)",
+            pm.coverage * 100.0
+        );
+        assert!(!pm.phases.is_empty());
+        let cycles: Vec<u64> = gc.log().cycles.iter().map(|c| c.cycle).collect();
+        for (_, s) in gc.telemetry().spans().all_spans() {
+            if s.kind == SpanKind::Pause {
+                assert!(
+                    cycles.contains(&(s.cycle as u64)),
+                    "{mode:?}: pause span {s:?} carries no completed cycle {cycles:?}"
+                );
+            }
+        }
+        // Postmortem gauges are published through the registry.
+        gc.telemetry_sample();
+        let m: BTreeMap<String, f64> = gc.telemetry().registry().sample().into_iter().collect();
+        assert!(m["gc_postmortem_coverage"] >= 0.95);
+        assert!(m["gc_postmortem_pause_wall_ns"] > 0.0);
+    }
 }
 
 /// Every metric the registry samples follows the `gc_`/`heap_` prefix

@@ -4,7 +4,6 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mcgc::membar::FenceStats;
 use mcgc::packets::{PacketPool, PoolConfig, PushOutcome, WorkBuffer};
 use mcgc::workloads::rng::SmallRng;
 use mcgc::{Gc, GcConfig, ObjectShape};
@@ -93,52 +92,6 @@ fn stress_no_loss_no_duplication() {
     let consumed = seen.iter().filter(|b| b.load(Ordering::Relaxed)).count() as u64;
     let left = pool.stats().entries as u64;
     assert_eq!(consumed + left, total_items);
-}
-
-/// §5.1/§5.2 fence batching at the system level: a jbb-style run emits
-/// far fewer fences than the naive one-per-object/one-per-write scheme
-/// would, and every §5 fence category shows up.
-#[test]
-fn fence_batching_reduces_fence_count() {
-    let heap = 16 << 20;
-    let mut cfg = GcConfig::with_heap_bytes(heap);
-    cfg.background_threads = 1;
-    let gc = Gc::new(cfg);
-    let before = FenceStats::snapshot();
-    let objects_before = gc.heap().objects_allocated();
-    {
-        let mut m = gc.register_mutator();
-        let shape = ObjectShape::new(1, 3, 0);
-        let keep = m.alloc(shape).unwrap();
-        m.root_push(Some(keep));
-        for i in 0..200_000u64 {
-            let o = m.alloc(shape).unwrap();
-            if i % 7 == 0 {
-                m.write_ref(keep, 0, Some(o)); // write barrier, no fence
-            }
-        }
-    }
-    let fences = FenceStats::snapshot().since(&before);
-    let objects = gc.heap().objects_allocated() - objects_before;
-    let barrier_stores = gc.write_barriers();
-    // Naive scheme: one fence per allocated object + one per barrier.
-    let naive = objects + barrier_stores;
-    assert!(
-        fences.total() * 20 < naive,
-        "batched fences {} should be <5% of naive {}",
-        fences.total(),
-        naive
-    );
-    // Allocation batches dominate and are roughly one per cache of
-    // objects, not one per object.
-    assert!(fences.alloc_batch > 0);
-    assert!(
-        fences.alloc_batch < objects / 10,
-        "alloc fences {} vs objects {}",
-        fences.alloc_batch,
-        objects
-    );
-    gc.shutdown();
 }
 
 /// §5.2 deferral end-to-end: objects referenced before their allocation

@@ -175,15 +175,20 @@ fn run_eager(mode: CollectorMode, stw_workers: usize) -> FinalState {
 fn run_lazy(mode: CollectorMode, stw_workers: usize) -> LazyOutcome {
     let gc = Gc::new(config(mode, stw_workers, SweepMode::Lazy));
     workload(&gc);
-    // The final collect installed a fresh sweep epoch; drain it here so
-    // the captured bitmaps and free total describe a fully-swept heap
-    // instead of a snapshot race against the background sweeper. Chunk
-    // claims are atomic, so racing the sweeper is fine.
+    // Quiesce first: the background sweeper (a scheduler-pool duty)
+    // would otherwise keep sweeping chunks under the audit and the
+    // captured bitmaps, and the moment the epoch drains it retires it
+    // by clearing the mark bitmap — mid-walk, the audit then sees a
+    // marked parent with an unmarked child.
+    gc.shutdown();
+    // The final collect installed a fresh sweep epoch; drain what the
+    // sweeper left so the captured bitmaps and free total describe a
+    // fully-swept heap.
     if let Some(plan) = gc.heap().lazy_plan() {
         while plan.sweep_one(gc.heap()).is_some() {}
     }
     gc.audit_now();
-    let out = LazyOutcome {
+    LazyOutcome {
         alloc_bit_population: gc.heap().alloc_bits().count(),
         free_bytes: gc.heap().free_bytes(),
         cycles: cycle_outcomes(&gc)
@@ -195,9 +200,7 @@ fn run_lazy(mode: CollectorMode, stw_workers: usize) -> LazyOutcome {
                 c
             })
             .collect(),
-    };
-    gc.shutdown();
-    out
+    }
 }
 
 #[test]

@@ -1,11 +1,13 @@
-//! End-to-end telemetry tests: the event stream must reproduce the
-//! collector's direct accounting bit-for-bit, phase events must be
-//! well-formed, and the exporters must reflect live collector state.
+//! End-to-end telemetry tests: the flight recorder is the collector's
+//! one clock (every measured pause wall in `CycleStats` is the duration
+//! of that phase's own span), phase spans are well-formed, and the
+//! exporters reflect live collector state.
 
 use std::collections::BTreeMap;
+use std::time::Duration;
 
-use mcgc::telemetry::EventKind;
-use mcgc::{CycleStats, Gc, GcConfig, GcLog, ObjectShape};
+use mcgc::telemetry::{Span, SpanKind, SpanRecorder};
+use mcgc::{CollectorMode, Gc, GcConfig, ObjectShape, SweepMode, Trigger};
 
 fn small_config() -> GcConfig {
     let mut c = GcConfig::with_heap_bytes(4 << 20);
@@ -27,141 +29,126 @@ fn churn(gc: &std::sync::Arc<Gc>, cycles: usize) {
     }
 }
 
-/// Field-by-field bit equality (floats compared via `to_bits`, so two
-/// logs agree exactly, not approximately).
-fn assert_bits_eq(a: &CycleStats, b: &CycleStats) {
-    let cy = a.cycle;
-    assert_eq!(a.cycle, b.cycle);
-    assert_eq!(a.trigger, b.trigger, "cycle {cy}");
-    for (name, x, y) in [
-        ("pause_ms", a.pause_ms, b.pause_ms),
-        ("mark_ms", a.mark_ms, b.mark_ms),
-        ("sweep_ms", a.sweep_ms, b.sweep_ms),
-        ("card_ms", a.card_ms, b.card_ms),
-        ("root_ms", a.root_ms, b.root_ms),
-        ("occupancy_after", a.occupancy_after, b.occupancy_after),
-        (
-            "tracing_factor_sum",
-            a.tracing_factor_sum,
-            b.tracing_factor_sum,
-        ),
-        (
-            "tracing_factor_sq_sum",
-            a.tracing_factor_sq_sum,
-            b.tracing_factor_sq_sum,
-        ),
-    ] {
-        assert_eq!(x.to_bits(), y.to_bits(), "cycle {cy} field {name}");
-    }
-    assert_eq!(a.pause_wall, b.pause_wall, "cycle {cy}");
-    assert_eq!(a.concurrent_wall, b.concurrent_wall, "cycle {cy}");
-    assert_eq!(a.pre_concurrent_wall, b.pre_concurrent_wall, "cycle {cy}");
-    assert_eq!(a.mutator_traced_bytes, b.mutator_traced_bytes, "cycle {cy}");
-    assert_eq!(
-        a.background_traced_bytes, b.background_traced_bytes,
-        "cycle {cy}"
-    );
-    assert_eq!(a.stw_traced_bytes, b.stw_traced_bytes, "cycle {cy}");
-    assert_eq!(
-        a.alloc_concurrent_bytes, b.alloc_concurrent_bytes,
-        "cycle {cy}"
-    );
-    assert_eq!(
-        a.alloc_pre_concurrent_bytes, b.alloc_pre_concurrent_bytes,
-        "cycle {cy}"
-    );
-    assert_eq!(
-        a.cards_cleaned_concurrent, b.cards_cleaned_concurrent,
-        "cycle {cy}"
-    );
-    assert_eq!(a.cards_cleaned_stw, b.cards_cleaned_stw, "cycle {cy}");
-    assert_eq!(a.cards_left, b.cards_left, "cycle {cy}");
-    assert_eq!(a.handshakes, b.handshakes, "cycle {cy}");
-    assert_eq!(a.free_at_stw_start, b.free_at_stw_start, "cycle {cy}");
-    assert_eq!(a.live_after_bytes, b.live_after_bytes, "cycle {cy}");
-    assert_eq!(a.live_after_objects, b.live_after_objects, "cycle {cy}");
-    assert_eq!(a.free_after_bytes, b.free_after_bytes, "cycle {cy}");
-    assert_eq!(a.increments, b.increments, "cycle {cy}");
-    assert_eq!(a.cas_ops, b.cas_ops, "cycle {cy}");
-    assert_eq!(a.overflows, b.overflows, "cycle {cy}");
-    assert_eq!(a.deferred_objects, b.deferred_objects, "cycle {cy}");
-    assert_eq!(
-        a.packets_in_use_watermark, b.packets_in_use_watermark,
-        "cycle {cy}"
-    );
-    assert_eq!(
-        a.packet_entries_watermark, b.packet_entries_watermark,
-        "cycle {cy}"
-    );
+/// The retained spans of the collector's coordinator track (cycle and
+/// pause-phase spans), oldest first.
+fn coordinator_spans(rec: &SpanRecorder) -> Vec<Span> {
+    rec.tracks()
+        .into_iter()
+        .find(|t| t.name == "gc coordinator")
+        .expect("coordinator track")
+        .spans
 }
 
-/// The acceptance-criteria test: a `GcLog` rebuilt purely from the event
-/// stream matches the collector's direct accounting bit-for-bit. Older
-/// cycles may be missing if the ring wrapped; every cycle that *is*
-/// replayed must match exactly.
+/// Phase spans are well-formed: pauses never overlap, their triggers
+/// decode, kickoffs carry the free-byte headroom, and every retained
+/// pause also fed the pause histogram.
 #[test]
-fn event_stream_replays_gclog_bit_for_bit() {
-    let gc = Gc::new(small_config());
-    churn(&gc, 4);
-    gc.shutdown();
-    let log = gc.log();
-    let replayed = GcLog::from_events(&gc.telemetry().events());
-    assert!(
-        !replayed.cycles.is_empty(),
-        "event stream yields at least one complete cycle batch"
-    );
-    let by_cycle: BTreeMap<u64, &CycleStats> = log.cycles.iter().map(|c| (c.cycle, c)).collect();
-    for r in &replayed.cycles {
-        let direct = by_cycle
-            .get(&r.cycle)
-            .unwrap_or_else(|| panic!("replayed cycle {} not in direct log", r.cycle));
-        assert_bits_eq(direct, r);
-    }
-    // The most recent cycle is always retained (its batch is the newest
-    // thing in the ring).
-    assert_eq!(
-        replayed.cycles.last().unwrap().cycle,
-        log.cycles.last().unwrap().cycle
-    );
-}
-
-/// Phase events are well-formed: triggers decode, StwStart/StwEnd pair
-/// up in order, kickoffs carry the free-byte headroom.
-#[test]
-fn phase_events_are_well_formed() {
+fn phase_spans_are_well_formed() {
     let gc = Gc::new(small_config());
     churn(&gc, 3);
     gc.shutdown();
-    let events = gc.telemetry().events();
-    assert!(!events.is_empty());
-    let mut last_ts = 0;
-    let mut open_stw: Option<u32> = None;
-    let mut stw_ends = 0u64;
-    for ev in &events {
-        assert!(ev.ts_ns >= last_ts, "snapshot is time-ordered");
-        last_ts = ev.ts_ns;
-        match ev.kind {
-            EventKind::StwStart => {
-                assert_eq!(open_stw, None, "no nested pauses");
-                assert!(mcgc::Trigger::from_code(ev.arg).is_some());
-                open_stw = Some(ev.cycle);
-            }
-            EventKind::StwEnd => {
-                assert_eq!(open_stw, Some(ev.cycle), "end matches open pause");
-                assert!(ev.arg > 0, "wall pause is nonzero ns");
-                open_stw = None;
-                stw_ends += 1;
-            }
-            EventKind::Kickoff => {
-                assert!(ev.arg > 0, "kickoff records free bytes");
-            }
-            _ => {}
+    let rec = gc.telemetry().spans();
+    let pauses: Vec<Span> = coordinator_spans(rec)
+        .into_iter()
+        .filter(|s| s.kind == SpanKind::Pause)
+        .collect();
+    assert!(!pauses.is_empty());
+    for w in pauses.windows(2) {
+        assert!(w[0].end_ns <= w[1].begin_ns, "overlapping pauses {w:?}");
+    }
+    for p in &pauses {
+        assert!(Trigger::from_code(p.arg).is_some(), "trigger code {p:?}");
+        assert!(p.duration_ns() > 0, "wall pause is nonzero ns");
+    }
+    for (_, k) in rec.all_spans() {
+        if k.kind == SpanKind::KickoffDecision {
+            assert!(k.arg > 0, "kickoff records free bytes: {k:?}");
         }
     }
-    // Every pause fed the histogram (the histogram never wraps, so it
-    // has at least as many samples as the ring retains StwEnd events).
-    assert!(gc.telemetry().pause_histogram().count() >= stw_ends);
+    // The histogram never wraps, so it has at least as many samples as
+    // the ring retains pauses.
+    assert!(gc.telemetry().pause_histogram().count() >= pauses.len() as u64);
     assert!(gc.telemetry().pause_histogram().max() > 0);
+}
+
+/// One clock: for every retained cycle, each measured phase wall in
+/// `CycleStats` is exactly the duration of that phase's span (cards
+/// absorb the drain loop's re-clean passes), and the pause wall ends
+/// inside the pause span. Both modes: a stop-the-world pause opens its
+/// own cycle, and its spans must carry that cycle's number. The lazy
+/// arm leaves each sweep epoch to the straggler fence, whose spans must
+/// add up to the fence time the registry counted.
+#[test]
+fn pause_walls_are_their_spans_durations() {
+    for (mode, sweep) in [
+        (CollectorMode::Concurrent, SweepMode::Eager),
+        (CollectorMode::StopTheWorld, SweepMode::Eager),
+        (CollectorMode::Concurrent, SweepMode::Lazy),
+    ] {
+        let mut cfg = small_config();
+        cfg.mode = mode;
+        cfg.sweep = sweep;
+        cfg.bg_sweep = false;
+        let gc = Gc::new(cfg);
+        churn(&gc, 4);
+        gc.shutdown();
+        let spans = coordinator_spans(gc.telemetry().spans());
+        let fences: Vec<&Span> = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::StragglerFence)
+            .collect();
+        let fence_ns: u64 = fences.iter().map(|s| s.duration_ns()).sum();
+        let counted: BTreeMap<String, f64> =
+            gc.telemetry().registry().sample().into_iter().collect();
+        assert_eq!(fence_ns as f64, counted["gc_sweep_straggler_ns_total"]);
+        assert_eq!(sweep == SweepMode::Lazy, !fences.is_empty(), "{sweep:?}");
+        let mut checked = 0;
+        for c in &gc.log().cycles {
+            let of = |kind: SpanKind| -> Vec<&Span> {
+                spans
+                    .iter()
+                    .filter(|s| s.kind == kind && s.cycle as u64 == c.cycle)
+                    .collect()
+            };
+            let pause = of(SpanKind::Pause);
+            if pause.is_empty() {
+                continue; // evicted by ring wrap
+            }
+            let cy = (mode, sweep, c.cycle);
+            assert_eq!(pause.len(), 1, "{cy:?}: one pause");
+            let wall = |kinds: &[SpanKind]| -> Duration {
+                kinds
+                    .iter()
+                    .flat_map(|&k| of(k))
+                    .map(|s| Duration::from_nanos(s.duration_ns()))
+                    .sum()
+            };
+            assert_eq!(of(SpanKind::PauseRoots).len(), 1, "{cy:?}");
+            assert_eq!(c.roots_wall, wall(&[SpanKind::PauseRoots]), "{cy:?}");
+            assert_eq!(of(SpanKind::PauseSweep).len(), 1, "{cy:?}");
+            assert_eq!(c.sweep_wall, wall(&[SpanKind::PauseSweep]), "{cy:?}");
+            assert_eq!(of(SpanKind::PauseClear).len(), 1, "{cy:?}");
+            assert_eq!(c.clear_wall, wall(&[SpanKind::PauseClear]), "{cy:?}");
+            assert_eq!(
+                c.cards_wall,
+                wall(&[SpanKind::PauseCards, SpanKind::PauseReclean]),
+                "{cy:?}"
+            );
+            assert!(!of(SpanKind::PauseDrain).is_empty(), "{cy:?}");
+            assert_eq!(c.drain_wall, wall(&[SpanKind::PauseDrain]), "{cy:?}");
+            assert!(
+                c.pause_wall <= Duration::from_nanos(pause[0].duration_ns()),
+                "{cy:?}: pause wall {:?} outlasts its span {pause:?}",
+                c.pause_wall
+            );
+            assert!(c.phase_wall_total() <= c.pause_wall, "{cy:?}");
+            checked += 1;
+        }
+        assert!(
+            checked >= 4,
+            "{mode:?}/{sweep:?}: {checked} cycles retained"
+        );
+    }
 }
 
 /// Gauges refresh on demand and both exporters render the registry.
@@ -212,14 +199,26 @@ fn utilization_and_increment_latencies_recorded() {
     }
 }
 
-/// Disabling telemetry stops recording without disturbing collection.
+/// Disabling telemetry stops recording without disturbing collection,
+/// and the phase guards still time every pause.
 #[test]
 fn disabled_telemetry_records_nothing_but_gc_still_works() {
     let gc = Gc::new(small_config());
     gc.telemetry().set_enabled(false);
     churn(&gc, 2);
     gc.shutdown();
-    assert!(gc.log().cycles.len() >= 2, "collections still happen");
-    assert!(gc.telemetry().events().is_empty());
+    let log = gc.log();
+    assert!(log.cycles.len() >= 2, "collections still happen");
+    assert!(gc.telemetry().spans().all_spans().is_empty());
     assert_eq!(gc.telemetry().pause_histogram().count(), 0);
+    for c in &log.cycles {
+        assert!(c.drain_wall > Duration::ZERO, "cycle {}", c.cycle);
+        assert!(
+            c.phase_wall_total() <= c.pause_wall,
+            "cycle {}: phases {:?} > pause {:?}",
+            c.cycle,
+            c.phase_wall_total(),
+            c.pause_wall
+        );
+    }
 }
