@@ -252,11 +252,11 @@ pub struct Gc {
     timeline: Mutex<Timeline>,
     pub(crate) bg_window: Mutex<BgWindow>,
 
-    /// Set when the previous pause pre-cleared the mark bits and card
-    /// table (only possible with eager sweep; lazy sweep still needs the
-    /// mark bits after the pause). The sweep-epoch plan itself lives on
-    /// the heap ([`Heap::install_lazy_plan`]) so refill paths reach it
-    /// without a collector dependency.
+    /// Set when the mark bits were pre-cleared before the next cycle:
+    /// by an eager pause, or by retiring a finished sweep epoch. Written
+    /// and consumed under the coordinator lock. The sweep-epoch plan
+    /// itself lives on the heap ([`Heap::install_lazy_plan`]) so refill
+    /// paths reach it without a collector dependency.
     bits_pre_cleared: AtomicBool,
     /// Straggler-fence accounting accumulated since the last pause: the
     /// fence runs *before* the world stops (kickoff or pre-pause), so its
@@ -954,7 +954,7 @@ impl Gc {
             progressed = true;
         }
         if plan.is_done() {
-            self.retire_lazy_plan();
+            self.try_retire_lazy_plan();
         }
         progressed
     }
@@ -1002,15 +1002,31 @@ impl Gc {
             progressed = true;
         }
         if plan.is_done() {
-            self.retire_lazy_plan();
+            self.try_retire_lazy_plan();
         }
         progressed
+    }
+
+    /// [`Gc::retire_lazy_plan`] for a sweeping thread that does not hold
+    /// the coordinator lock. Takes the lock without blocking; when some
+    /// thread already holds it (possibly this one), the finished plan
+    /// stays installed, and the `finish_lazy_sweep` that every cycle
+    /// start runs first retires it.
+    fn try_retire_lazy_plan(&self) {
+        if let Some(_coordinator) = self.coordinator.try_lock() {
+            self.retire_lazy_plan();
+        }
     }
 
     /// Clears a completed lazy-sweep plan and pre-clears the mark bits —
     /// they are dead weight once every chunk is swept, and clearing them
     /// now (instead of at the next kickoff) keeps cycle initialization
     /// instant, as the eager path's in-pause pre-clearing does.
+    ///
+    /// Caller holds the coordinator lock, which every cycle start also
+    /// holds: otherwise a kickoff that finds the plan already taken could
+    /// start marking while this clear still runs, and the clear would
+    /// wipe the new cycle's marks.
     fn retire_lazy_plan(&self) {
         if self.heap.take_lazy_plan_if_done().is_some() {
             self.heap.mark_bits().clear_all();
@@ -1575,40 +1591,23 @@ impl Gc {
     }
 
     fn drain_marking_worker(&self) {
-        // Prefetch FIFO depth: an object popped now is scanned this many
-        // pops later, which gives the prefetch of its header time to land
-        // (§4.1: packets make the next objects known early).
-        const PREFETCH_DEPTH: usize = 8;
-        let mut fifo = VecDeque::with_capacity(PREFETCH_DEPTH + 1);
+        let mut batch = Vec::with_capacity(self.config.trace_batch);
         loop {
             let mut buf = WorkBuffer::new(&self.pool);
             let mut did_work = false;
             let mut traced = 0u64;
-            // §4.3 termination cannot fire while the FIFO holds
-            // objects: they came out of this buffer's input packet, and a
-            // buffer that has popped keeps an input packet until
-            // `finish()` (pop replaces it get-before-return), so the
-            // Empty pool stays one short of the total. The FIFO is
-            // flushed before `finish()` and the termination check.
-            loop {
-                match buf.pop() {
-                    Some(obj) => {
-                        did_work = true;
-                        self.heap.prefetch(obj);
-                        fifo.push_back(obj);
-                        if fifo.len() > PREFETCH_DEPTH {
-                            let ready = fifo.pop_front().expect("FIFO over depth");
-                            traced += self.trace_object_stw(ready, &mut buf);
-                        }
-                    }
-                    None if fifo.is_empty() => break,
-                    // Out of input: flush. The scans may push children,
-                    // so pop again afterwards.
-                    None => {
-                        while let Some(ready) = fifo.pop_front() {
-                            traced += self.trace_object_stw(ready, &mut buf);
-                        }
-                    }
+            // §4.3 termination cannot fire while a batch is being
+            // scanned: its objects came out of this buffer's input
+            // packet, and a buffer that has popped keeps an input packet
+            // until `finish()` (pop replaces it get-before-return), so
+            // the Empty pool stays one short of the total. Every batch
+            // is scanned in full before the next pop, so the loop ends
+            // only with nothing popped and unscanned, ahead of `finish()`
+            // and the termination check.
+            while self.pop_batch(&mut buf, &mut batch) > 0 {
+                did_work = true;
+                for &obj in &batch {
+                    traced += self.trace_object_stw(obj, &mut buf);
                 }
             }
             self.counters
@@ -1648,5 +1647,46 @@ impl std::fmt::Debug for Gc {
             .field("cycle", &self.cycle())
             .field("heap", &self.heap)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcgc_heap::ObjectShape;
+
+    /// A sweeper that finishes an epoch while another thread holds the
+    /// coordinator lock leaves the plan and the mark bits alone: that
+    /// holder may be starting the next cycle's marking. Once the lock is
+    /// free, the same call retires the epoch and pre-clears the bits.
+    #[test]
+    fn epoch_retirement_waits_for_the_coordinator() {
+        let mut cfg = GcConfig::with_heap_bytes(4 << 20);
+        cfg.sweep = SweepMode::Lazy;
+        cfg.bg_sweep = false;
+        cfg.stw_workers = 1;
+        let gc = Gc::new(cfg);
+        let mut m = gc.register_mutator();
+        let keep = m.alloc(ObjectShape::new(0, 4, 0)).unwrap();
+        m.root_push(Some(keep));
+        m.collect();
+        let plan = gc.heap.lazy_plan().expect("a lazy pause installs an epoch");
+        while plan.sweep_one(&gc.heap).is_some() {}
+        assert!(plan.is_done());
+        {
+            let _coordinator = gc.coordinator.lock();
+            std::thread::scope(|s| {
+                s.spawn(|| gc.sweep_some_lazy());
+            });
+            assert!(gc.heap.lazy_plan_active(), "epoch retired under the lock");
+            assert!(gc.heap.is_marked(keep), "marks cleared under the lock");
+            assert!(!gc.bits_pre_cleared.load(Ordering::Acquire));
+        }
+        gc.sweep_some_lazy();
+        assert!(!gc.heap.lazy_plan_active(), "epoch retired once free");
+        assert!(!gc.heap.is_marked(keep));
+        assert!(gc.bits_pre_cleared.load(Ordering::Acquire));
+        drop(m);
+        gc.shutdown();
     }
 }

@@ -82,8 +82,10 @@ pub struct GcConfig {
     /// Batch size (cards) for a concurrent card-cleaning quantum; each
     /// snapshot batch costs one handshake.
     pub card_clean_batch: usize,
-    /// Tracer-side §5.2 batch: objects whose allocation bits are tested
-    /// before one fence.
+    /// Objects popped per tracing batch (at least 1). Concurrently it is
+    /// the §5.2 batch whose allocation bits are tested before one fence;
+    /// the stop-the-world drain pops the same batch. Each popped object's
+    /// header is prefetched before the batch is scanned.
     pub trace_batch: usize,
     /// Bytes a background thread traces per quantum between safepoint
     /// polls.

@@ -78,6 +78,31 @@ impl Gc {
         self.scan_object(obj, buf)
     }
 
+    /// Pops up to `trace_batch` objects into `batch` (cleared first) and
+    /// prefetches each one's header, so the scans that follow find the
+    /// whole batch in flight at once: packets make the next objects to
+    /// trace known in advance (§4.1). Returns the number popped; 0 means
+    /// the buffer had no work.
+    #[inline]
+    pub(crate) fn pop_batch(
+        &self,
+        buf: &mut WorkBuffer<'_, ObjectRef>,
+        batch: &mut Vec<ObjectRef>,
+    ) -> usize {
+        batch.clear();
+        let limit = self.config.trace_batch.max(1);
+        while batch.len() < limit {
+            match buf.pop() {
+                Some(obj) => {
+                    self.heap.prefetch(obj);
+                    batch.push(obj);
+                }
+                None => break,
+            }
+        }
+        batch.len()
+    }
+
     /// One §5.2 batch: pops up to `trace_batch` objects, tests their
     /// allocation bits, issues one acquire fence, traces the safe ones
     /// and defers the unsafe ones. Returns `(objects_processed, bytes)`;
@@ -90,18 +115,13 @@ impl Gc {
         safety: &mut Vec<bool>,
         deferred: &mut Vec<ObjectRef>,
     ) -> (usize, u64) {
-        batch.clear();
-        while batch.len() < self.config.trace_batch {
-            match buf.pop() {
-                Some(o) => batch.push(o),
-                None => break,
-            }
-        }
-        if batch.is_empty() {
+        if self.pop_batch(buf, batch) == 0 {
             return (0, 0);
         }
         // §5.2 tracer steps 2-4: test allocation bits, fence once, trace
-        // safe objects, defer unsafe ones.
+        // safe objects, defer unsafe ones. The prefetches `pop_batch`
+        // issued read nothing into the program, so no header value is
+        // taken before the fence.
         safety.clear();
         safety.extend(batch.iter().map(|&o| self.heap.is_published(o)));
         acquire_fence(FenceKind::TraceBatch);

@@ -108,30 +108,13 @@ impl Bitmap {
         }
     }
 
-    /// Clears all bits in `[start, end)`.
-    ///
-    /// Word-interior boundaries are handled with atomic masks so bits
-    /// outside the range are never disturbed.
-    pub fn clear_range(&self, start: usize, end: usize) {
-        assert!(start <= end && end <= self.len);
-        if start == end {
-            return;
-        }
-        let (sw, sb) = (start / BITS, start % BITS);
-        let (ew, eb) = (end / BITS, end % BITS);
-        if sw == ew {
-            let mask = (!0u64 << sb) & !(!0u64).checked_shl(eb as u32).unwrap_or(0);
-            let keep = if eb == 0 { !0u64 << sb } else { mask };
-            self.words[sw].fetch_and(!keep, Ordering::Relaxed);
-            return;
-        }
-        self.words[sw].fetch_and(!(!0u64 << sb), Ordering::Relaxed);
-        for w in sw + 1..ew {
-            self.words[w].store(0, Ordering::Relaxed);
-        }
-        if eb != 0 {
-            self.words[ew].fetch_and(!0u64 << eb, Ordering::Relaxed);
-        }
+    /// Atomically ANDs backing word `w` with `keep`: bits clear in
+    /// `keep` are cleared, every other bit (including ones a concurrent
+    /// `set` publishes meanwhile) is left alone. The sweep's per-word
+    /// form of "allocation bits &= mark bits".
+    #[inline]
+    pub(crate) fn and_word(&self, w: usize, keep: u64) {
+        self.words[w].fetch_and(keep, Ordering::Relaxed);
     }
 
     /// Finds the first set bit at or after `from`, or `None`.
@@ -213,16 +196,6 @@ impl Bitmap {
             .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
             .sum()
     }
-
-    /// Iterates over all set bit indices in `[start, end)`.
-    pub fn iter_set(&self, start: usize, end: usize) -> SetBits<'_> {
-        assert!(start <= end && end <= self.len);
-        SetBits {
-            map: self,
-            next: start,
-            end,
-        }
-    }
 }
 
 impl std::fmt::Debug for Bitmap {
@@ -231,23 +204,6 @@ impl std::fmt::Debug for Bitmap {
             .field("len", &self.len)
             .field("set", &self.count())
             .finish()
-    }
-}
-
-/// Iterator over set bits of a [`Bitmap`]; see [`Bitmap::iter_set`].
-pub struct SetBits<'a> {
-    map: &'a Bitmap,
-    next: usize,
-    end: usize,
-}
-
-impl Iterator for SetBits<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        let found = self.map.next_set_before(self.next, self.end)?;
-        self.next = found + 1;
-        Some(found)
     }
 }
 
@@ -295,29 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_range_boundaries() {
-        let b = Bitmap::new(256);
-        for i in 0..256 {
-            b.set(i);
-        }
-        b.clear_range(10, 20);
-        b.clear_range(60, 70);
-        b.clear_range(128, 256);
-        for i in 0..256 {
-            let expect = !(10..20).contains(&i) && !(60..70).contains(&i) && i < 128;
-            assert_eq!(b.get(i), expect, "bit {i}");
-        }
-        // whole-word boundary
-        let c = Bitmap::new(192);
-        for i in 0..192 {
-            c.set(i);
-        }
-        c.clear_range(64, 128);
-        assert_eq!(c.count(), 128);
-        assert!(c.get(63) && !c.get(64) && !c.get(127) && c.get(128));
-    }
-
-    #[test]
     fn word_level_access() {
         let b = Bitmap::new(200);
         assert_eq!(b.word_len(), 4);
@@ -328,6 +261,8 @@ mod tests {
         assert_eq!(b.load_word(0), (1 << 63) | 1);
         assert_eq!(b.load_word(1), 1);
         assert_eq!(b.load_word(3), 1 << (199 % 64));
+        b.and_word(0, 1 << 63);
+        assert_eq!(b.load_word(0), 1 << 63, "bits clear in `keep` cleared");
         b.clear_words(0, 1);
         assert_eq!(b.load_word(0), 0);
         assert!(b.get(64) && b.get(199), "other words untouched");
@@ -350,18 +285,6 @@ mod tests {
         assert_eq!(b.prev_set(10_000), Some(299), "clamped to len");
         let empty = Bitmap::new(100);
         assert_eq!(empty.prev_set(100), None);
-    }
-
-    #[test]
-    fn iter_set_collects() {
-        let b = Bitmap::new(130);
-        for i in [0usize, 5, 64, 65, 129] {
-            b.set(i);
-        }
-        let got: Vec<usize> = b.iter_set(0, 130).collect();
-        assert_eq!(got, vec![0, 5, 64, 65, 129]);
-        let got: Vec<usize> = b.iter_set(1, 65).collect();
-        assert_eq!(got, vec![5, 64]);
     }
 
     #[test]

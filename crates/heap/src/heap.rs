@@ -390,6 +390,12 @@ impl Heap {
         self.table.seg_granules()
     }
 
+    /// The segment table behind the arena and its side metadata.
+    #[inline]
+    pub(crate) fn segments(&self) -> &SegmentTable {
+        &self.table
+    }
+
     /// A snapshot of the segment table's counters.
     pub fn segment_stats(&self) -> SegmentStats {
         SegmentStats {
@@ -750,9 +756,9 @@ impl Heap {
     }
 
     /// Hints the CPU to start loading `obj`'s header slot, so a scan
-    /// issued a few objects later finds it in cache (the drain loop's
-    /// prefetch FIFO, §4.1). A no-op off x86_64 and for a granule in a
-    /// hole.
+    /// issued later finds it in cache: tracers pop a batch of objects,
+    /// prefetch each, then scan the batch (§4.1). A no-op off x86_64 and
+    /// for a granule in a hole.
     #[inline]
     pub fn prefetch(&self, obj: ObjectRef) {
         #[cfg(target_arch = "x86_64")]

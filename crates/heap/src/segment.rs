@@ -86,6 +86,18 @@ impl Segment {
         self.cards.clear_all();
     }
 
+    /// Allocation bits, indexed by segment-local granule.
+    #[inline]
+    pub(crate) fn alloc_bits(&self) -> &Bitmap {
+        &self.alloc
+    }
+
+    /// Mark bits, indexed by segment-local granule.
+    #[inline]
+    pub(crate) fn mark_bits(&self) -> &Bitmap {
+        &self.marks
+    }
+
     #[inline]
     pub(crate) fn slot(&self, offset: usize) -> &AtomicU64 {
         &self.slots[offset]
@@ -469,30 +481,6 @@ impl HeapBitmap {
         }
     }
 
-    /// Clears bits in `[start, end)` across segments.
-    pub fn clear_range(&self, start: usize, end: usize) {
-        for (rs, re) in self.table.mapped_ranges(start, end) {
-            let (s, off) = self.table.seg_of_granule(rs).expect("mapped range");
-            // A mapped range may span several adjacent segments; clear
-            // segment by segment.
-            let mut g = rs;
-            let mut off = off;
-            let mut seg = s;
-            loop {
-                let seg_end = g - off + seg.granules;
-                let stop = re.min(seg_end);
-                self.bm(seg).clear_range(off, off + (stop - g));
-                if stop >= re {
-                    break;
-                }
-                g = stop;
-                let (s2, o2) = self.table.seg_of_granule(g).expect("mapped range");
-                seg = s2;
-                off = o2;
-            }
-        }
-    }
-
     /// Number of 64-bit words covering the frontier.
     pub fn word_len(&self) -> usize {
         self.len() / 64
@@ -779,7 +767,7 @@ mod tests {
         assert_eq!(bm.count(), 2);
         assert_eq!(bm.count_range(0, 2 * 512), 1);
         assert_eq!(bm.load_word(512 / 64), 0, "word over a hole reads zero");
-        bm.clear_range(0, 4 * 512); // must not touch the hole
+        bm.clear_words(0, bm.word_len()); // must not touch the hole
         assert_eq!(bm.count(), 0);
     }
 

@@ -4,7 +4,10 @@
 //! Sweep frees memory in time essentially proportional to the number of
 //! live objects: it walks the mark bit vector, reads each marked object's
 //! size from its header, and the runs of granules between live objects
-//! become free extents.
+//! become free extents. The walk reads the mark bitmap a word at a time
+//! and takes each live header's address from its mark bit, not from the
+//! previous object's size, so the header loads are independent of each
+//! other and the CPU overlaps them.
 //!
 //! The heap is divided into fixed *sweep chunks* that can be swept
 //! independently and in any order: a chunk's carry-in (a live object
@@ -25,7 +28,7 @@ use mcgc_telemetry::{SpanKind, SpanRecorder};
 
 use crate::freelist::Extent;
 use crate::heap::Heap;
-use crate::object::ObjectRef;
+use crate::object::{Header, ObjectRef};
 
 /// Default sweep chunk size in granules (512 KiB of heap).
 pub const DEFAULT_CHUNK_GRANULES: usize = 64 << 10;
@@ -67,51 +70,90 @@ pub fn sweep_chunk(heap: &Heap, chunk: usize, chunk_granules: usize) -> ChunkSwe
 /// entirely inside one run of committed segments). Free extents are
 /// emitted per range, so they never span a hole left by a released
 /// segment — neither do live objects, by the allocation invariant.
+///
+/// Within a range the walk goes segment by segment and a mark word at a
+/// time (see the module docs). A word's dead allocation bits go with one
+/// atomic AND, issued only when the word holds a dead header. Every
+/// word is masked to the range, so a chunk edge inside a word leaves the
+/// neighbouring chunk's bits alone.
 fn sweep_ranges(heap: &Heap, ranges: &[(usize, usize)]) -> ChunkSweep {
     let mut out = ChunkSweep::default();
-    let marks = heap.mark_bits();
     let min_extent = heap.config().min_free_extent_granules;
+    let table = heap.segments();
     for &(rs, re) in ranges {
         // Carry-in: a live object starting before the range may span into
         // it (objects never span holes, so a carry-in found across a hole
-        // boundary necessarily ends before `rs` and is ignored).
+        // boundary necessarily ends before `rs` and is ignored). `cursor`
+        // is the end of the last live object: where the next gap starts.
         let mut cursor = rs;
-        if let Some(prev) = marks.prev_set(rs) {
+        if let Some(prev) = heap.mark_bits().prev_set(rs) {
             let h = heap.header(ObjectRef::from_granule(prev as u32));
-            let obj_end = prev + h.size_granules as usize;
-            if obj_end > rs {
-                cursor = obj_end.min(re);
-            }
+            cursor = cursor.max(prev + h.size_granules as usize);
         }
-        while cursor < re {
-            let next_mark = marks.next_set_before(cursor, re);
-            let gap_end = next_mark.unwrap_or(re);
-            if gap_end > cursor {
-                // everything in [cursor, gap_end) is dead: clear alloc bits
-                heap.alloc_bits().clear_range(cursor, gap_end);
-                let len = gap_end - cursor;
-                if len >= min_extent {
-                    out.extents.push(Extent { start: cursor, len });
-                } else {
-                    out.dark_granules += len;
+        let mut g = rs;
+        while g < re {
+            let (seg, lo) = table.seg_of_granule(g).expect("sweep range is mapped");
+            let base = g - lo;
+            let hi = (re - base).min(table.seg_granules());
+            let (marks, alloc) = (seg.mark_bits(), seg.alloc_bits());
+            let (first, last) = (lo / 64, (hi - 1) / 64);
+            for w in first..=last {
+                let mut in_range = !0u64;
+                if w == first {
+                    in_range &= !0u64 << (lo % 64);
                 }
-            }
-            match next_mark {
-                Some(m) => {
-                    let h = heap.header(ObjectRef::from_granule(m as u32));
-                    debug_assert!(
-                        heap.alloc_bits().get(m),
-                        "marked granule {m} has no allocation bit"
-                    );
+                if w == last && hi % 64 != 0 {
+                    in_range &= !(!0u64 << (hi % 64));
+                }
+                let live = marks.load_word(w) & in_range;
+                let allocated = alloc.load_word(w);
+                debug_assert_eq!(
+                    live & !allocated,
+                    0,
+                    "marked granules without an allocation bit in word at granule {}",
+                    base + w * 64
+                );
+                // Dead headers lose their allocation bits: alloc &= marks
+                // inside the range.
+                let keep = live | !in_range;
+                if allocated & !keep != 0 {
+                    alloc.and_word(w, keep);
+                }
+                let mut bits = live;
+                while bits != 0 {
+                    let off = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let header = Header::decode(seg.slot(off).load(Ordering::Relaxed));
+                    let size = header.size_granules as usize;
+                    let obj = base + off;
+                    debug_assert!(obj >= cursor, "mark at granule {obj} inside a live object");
+                    out.note_gap(cursor, obj, min_extent);
                     out.live_objects += 1;
-                    out.live_granules += h.size_granules as usize;
-                    cursor = m + h.size_granules as usize;
+                    out.live_granules += size;
+                    cursor = obj + size;
                 }
-                None => break,
             }
+            g = base + hi;
         }
+        out.note_gap(cursor, re, min_extent);
     }
     out
+}
+
+impl ChunkSweep {
+    /// Records the dead run `[start, end)` (empty when `end <= start`):
+    /// a free extent, or dark matter below `min_extent`.
+    fn note_gap(&mut self, start: usize, end: usize, min_extent: usize) {
+        if end <= start {
+            return;
+        }
+        let len = end - start;
+        if len >= min_extent {
+            self.extents.push(Extent { start, len });
+        } else {
+            self.dark_granules += len;
+        }
+    }
 }
 
 /// Number of sweep chunks for `heap` at the given chunk size.

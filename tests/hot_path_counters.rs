@@ -1,9 +1,10 @@
 //! Exact accounting of the counters the hot paths sum per thread and
 //! flush per batch: traced bytes in the stop-the-world drain (flushed
-//! once per packet batch, behind the prefetch FIFO) and the write-barrier
-//! count (flushed once per safepoint-poll period and when a mutator
-//! drops). A local sum that is never flushed, or an object left in the
-//! FIFO when a drain worker stops, breaks these equalities.
+//! once per packet batch, scanned in prefetched batches of `trace_batch`
+//! objects) and the write-barrier count (flushed once per safepoint-poll
+//! period and when a mutator drops). A local sum that is never flushed,
+//! or a popped object left unscanned when a drain worker stops, breaks
+//! these equalities.
 
 use mcgc::{Gc, GcConfig, Mutator, ObjectRef, ObjectShape, SweepMode, Trigger};
 
@@ -43,9 +44,10 @@ fn build_graph(m: &mut Mutator) -> (u64, u64) {
     )
 }
 
-fn assert_drain_accounts_every_byte(workers: usize) {
+fn assert_drain_accounts_every_byte(workers: usize, trace_batch: usize) {
     let mut cfg = GcConfig::stw_with_heap_bytes(32 << 20);
     cfg.stw_workers = workers;
+    cfg.trace_batch = trace_batch;
     cfg.sweep = SweepMode::Eager;
     let gc = Gc::new(cfg);
     let (objects, bytes) = {
@@ -57,24 +59,37 @@ fn assert_drain_accounts_every_byte(workers: usize) {
     let log = gc.log();
     let c = log.cycles.last().expect("a collection ran");
     assert_eq!(c.trigger, Some(Trigger::Explicit));
-    assert_eq!(c.overflows, 0, "workers={workers}: no §4.3 overflow");
-    assert_eq!(c.live_after_objects, objects, "workers={workers}");
-    assert_eq!(c.live_after_bytes, bytes, "workers={workers}");
+    let case = format!("workers={workers} trace_batch={trace_batch}");
+    assert_eq!(c.overflows, 0, "{case}: no §4.3 overflow");
+    assert_eq!(c.live_after_objects, objects, "{case}");
+    assert_eq!(c.live_after_bytes, bytes, "{case}");
     assert_eq!(
         c.stw_traced_bytes, c.live_after_bytes,
-        "workers={workers}: every live object traced exactly once"
+        "{case}: every live object traced exactly once"
     );
     gc.shutdown();
 }
 
 #[test]
 fn stw_drain_traces_live_bytes_exactly_one_worker() {
-    assert_drain_accounts_every_byte(1);
+    assert_drain_accounts_every_byte(1, 64);
 }
 
 #[test]
 fn stw_drain_traces_live_bytes_exactly_four_workers() {
-    assert_drain_accounts_every_byte(4);
+    assert_drain_accounts_every_byte(4, 64);
+}
+
+/// Both edges of the drain batch: one object per batch, and a whole
+/// packet (493 entries) per batch. The graph spans dozens of packets, so
+/// batches straddle input-packet replacement either way.
+#[test]
+fn stw_drain_traces_live_bytes_exactly_at_batch_edges() {
+    for trace_batch in [1, 493] {
+        for workers in [1, 4] {
+            assert_drain_accounts_every_byte(workers, trace_batch);
+        }
+    }
 }
 
 /// Write counts straddling the poll period, on one thread at a time and
