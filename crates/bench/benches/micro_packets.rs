@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the §4 work packet mechanism: get/put cost,
-//! push/pop throughput, contended access, and termination checks.
+//! push/pop throughput per entry and in bulk, contended access, and
+//! termination checks.
 //! Self-timed with `std::time::Instant` (no external harness) so the
 //! workspace builds hermetically.
 
@@ -51,6 +52,25 @@ fn packet_push_pop() {
         }
         std::hint::black_box(n);
     });
+    // The tracers' path: one bulk push, then pops of the default
+    // 64-entry trace batch.
+    let (mut items, mut batch) = (Vec::with_capacity(1000), Vec::with_capacity(64));
+    bench(
+        "packets/push_pop_many/1000_items_roundtrip",
+        2_000,
+        1000,
+        || {
+            let mut buf = WorkBuffer::new(&pool);
+            items.extend(0..1000u64);
+            buf.push_many(&mut items, |_| unreachable!("the pool holds 1000 items"));
+            let mut n = 0;
+            while buf.pop_many(&mut batch, 64) > 0 {
+                n += batch.len();
+                batch.clear();
+            }
+            std::hint::black_box(n);
+        },
+    );
 }
 
 fn termination_check() {

@@ -1127,7 +1127,7 @@ impl Gc {
         //    barrier activity before this instant, which is harmless to
         //    clean). Cleaned as a scheduler bucket; `cards_wall` also
         //    absorbs the drain loop's re-clean passes below.
-        drop(retire);
+        let retire_wall = retire.finish();
         let cards = self.coord_span(SpanKind::PauseCards, 0);
         let (cards_left, stw_clean_work) = self.stw_clean_cards(&session, fresh);
         let mut cards_wall = cards.finish();
@@ -1307,6 +1307,7 @@ impl Gc {
             card_ms: card_single_ms / workers,
             root_ms: root_single_ms / workers,
             pause_wall,
+            retire_wall,
             cards_wall,
             roots_wall,
             drain_wall,
@@ -1447,6 +1448,7 @@ impl Gc {
         let scanned = AtomicU64::new(0);
         session.run(Bucket::Cards, |w| {
             let mut buf = WorkBuffer::new(&self.pool);
+            let mut grey = Vec::new();
             let mut local = 0u64;
             let mut claims = 0u64;
             loop {
@@ -1457,8 +1459,9 @@ impl Gc {
                 claims += 1;
                 let stripe = &cards[i..(i + STRIPE).min(cards.len())];
                 for &card in stripe {
-                    local += self.clean_one_card(card, &mut buf, true);
+                    local += self.clean_one_card(card, &mut grey, true);
                 }
+                self.push_grey(&mut buf, &mut grey);
                 self.counters
                     .cards_cleaned_stw
                     .fetch_add(stripe.len() as u64, Ordering::Relaxed);
@@ -1486,6 +1489,7 @@ impl Gc {
         let cursor = AtomicUsize::new(0);
         session.run(Bucket::Roots, |w| {
             let mut buf = WorkBuffer::new(&self.pool);
+            let mut grey = Vec::new();
             let mut claims = 0u64;
             loop {
                 let t = cursor.fetch_add(1, Ordering::Relaxed);
@@ -1498,11 +1502,12 @@ impl Gc {
                 } else {
                     let start = (t - stacks) * GLOBAL_CHUNK;
                     let end = (start + GLOBAL_CHUNK).min(globals.len());
-                    for &raw in &globals[start..end] {
-                        if let Some(r) = ObjectRef::decode(raw) {
-                            self.mark_and_push(r, &mut buf);
-                        }
-                    }
+                    grey.extend(
+                        globals[start..end]
+                            .iter()
+                            .filter_map(|&raw| ObjectRef::decode(raw)),
+                    );
+                    self.push_roots(&mut buf, &mut grey);
                 }
             }
             buf.finish();
@@ -1592,23 +1597,34 @@ impl Gc {
 
     fn drain_marking_worker(&self) {
         let mut batch = Vec::with_capacity(self.config.trace_batch);
+        let mut grey = Vec::new();
         loop {
             let mut buf = WorkBuffer::new(&self.pool);
             let mut did_work = false;
             let mut traced = 0u64;
             // §4.3 termination cannot fire while a batch is being
-            // scanned: its objects came out of this buffer's input
-            // packet, and a buffer that has popped keeps an input packet
-            // until `finish()` (pop replaces it get-before-return), so
-            // the Empty pool stays one short of the total. Every batch
-            // is scanned in full before the next pop, so the loop ends
-            // only with nothing popped and unscanned, ahead of `finish()`
-            // and the termination check.
+            // scanned or its children wait in the grey buffer: the batch
+            // came out of this buffer's input packet, and a buffer that
+            // has popped keeps an input packet until `finish()` (pop
+            // replaces it get-before-return), so the Empty pool stays
+            // one short of the total. Each batch is scanned in full and
+            // its grey buffer pushed before the next pop, so the loop
+            // ends with nothing popped and unscanned and nothing
+            // buffered, ahead of `finish()` and the termination check.
+            // The children were marked before they were buffered, so
+            // the watchdog's card flood covers them too; and the grey
+            // buffer is empty at every audit point, where "grey" means
+            // "in a packet snapshot".
             while self.pop_batch(&mut buf, &mut batch) > 0 {
                 did_work = true;
                 for &obj in &batch {
-                    traced += self.trace_object_stw(obj, &mut buf);
+                    debug_assert!(
+                        self.heap.is_published(obj),
+                        "unpublished object reached STW tracing"
+                    );
+                    traced += self.scan_into(obj, &mut grey);
                 }
+                self.push_grey(&mut buf, &mut grey);
             }
             self.counters
                 .traced_stw

@@ -84,8 +84,11 @@ pub struct GcConfig {
     pub card_clean_batch: usize,
     /// Objects popped per tracing batch (at least 1). Concurrently it is
     /// the §5.2 batch whose allocation bits are tested before one fence;
-    /// the stop-the-world drain pops the same batch. Each popped object's
-    /// header is prefetched before the batch is scanned.
+    /// the stop-the-world drain pops the same batch. The batch leaves its
+    /// packet with one bulk pop, and each popped object's header is
+    /// prefetched before the batch is scanned. The children the batch
+    /// marks collect in a local grey buffer, which goes to the output
+    /// packet with one bulk push before the next batch is popped.
     pub trace_batch: usize,
     /// Bytes a background thread traces per quantum between safepoint
     /// polls.

@@ -75,6 +75,10 @@ pub struct CycleStats {
     // -- measured per-phase pause walls: each is the duration of that
     //    phase's own span (scheduler-parallel; host wall time, noisy — the
     //    `*_ms` fields above stay the host-independent work model) --
+    /// Wall time of the pause's opening phase: allocation-cache
+    /// retirement, lazy segment release, the scheduler session's wakeup,
+    /// the watchdog, the pause-start audit and a fresh cycle's setup.
+    pub retire_wall: Duration,
     /// Wall time of the final card cleaning, including the drain loop's
     /// redirty/re-clean passes.
     pub cards_wall: Duration,
@@ -183,11 +187,17 @@ impl CycleStats {
         self.mutator_traced_bytes + self.background_traced_bytes
     }
 
-    /// Sum of the measured per-phase pause walls (cards, roots, drain,
-    /// sweep, clear). Always at most [`CycleStats::pause_wall`]; the
-    /// remainder is cache retirement, audits, and accounting.
+    /// Sum of the measured per-phase pause walls (retire, cards, roots,
+    /// drain, sweep, clear). Always at most [`CycleStats::pause_wall`];
+    /// the remainder is the drain loop's dirty-card snapshots, the
+    /// `verify-gc` audits, session close and the cycle accounting.
     pub fn phase_wall_total(&self) -> Duration {
-        self.cards_wall + self.roots_wall + self.drain_wall + self.sweep_wall + self.clear_wall
+        self.retire_wall
+            + self.cards_wall
+            + self.roots_wall
+            + self.drain_wall
+            + self.sweep_wall
+            + self.clear_wall
     }
 
     /// CAS cost normalized by live KB at cycle end (Table 4 "cost").

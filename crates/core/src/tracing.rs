@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use mcgc_heap::ObjectRef;
 use mcgc_membar::{acquire_fence, full_fence, FenceKind};
-use mcgc_packets::{PushOutcome, WorkBuffer};
+use mcgc_packets::WorkBuffer;
 
 use mcgc_telemetry::SpanKind;
 
@@ -32,57 +32,46 @@ impl Gc {
     // object tracing
     // ------------------------------------------------------------------
 
-    /// Marks `child` and queues it for tracing; on packet overflow falls
-    /// back to mark + dirty card (§4.3).
+    /// Scans `obj`'s reference slots. Each child this call marks is
+    /// appended to `grey`, the caller's local grey buffer: it is marked
+    /// before it is buffered, so the card flood still finds a grey child
+    /// whose packet the watchdog condemns. Returns the bytes scanned.
     #[inline]
-    pub(crate) fn mark_and_push(&self, child: ObjectRef, buf: &mut WorkBuffer<'_, ObjectRef>) {
-        if self.heap.mark(child) {
-            match buf.push(child) {
-                PushOutcome::Pushed => {}
-                PushOutcome::Overflow(obj) => {
-                    // §4.3: temporary overflow — the object stays marked
-                    // and its card is dirtied so final card cleaning
-                    // rescans it.
-                    let n = self.counters.overflows.fetch_add(1, Ordering::Relaxed) + 1;
-                    self.heap.cards().dirty(obj.card());
-                    if n.is_multiple_of(OVERFLOW_BACKOFF_PERIOD) {
-                        self.tel.on_overflow_backoff();
-                        std::thread::yield_now();
-                    }
-                }
+    pub(crate) fn scan_into(&self, obj: ObjectRef, grey: &mut Vec<ObjectRef>) -> u64 {
+        let header = self.heap.scan_refs(obj, |child| {
+            if self.heap.mark(child) {
+                grey.push(child);
             }
-        }
-    }
-
-    /// Scans `obj`'s reference slots, marking and queueing unmarked
-    /// children. Returns the bytes scanned.
-    #[inline]
-    pub(crate) fn scan_object(&self, obj: ObjectRef, buf: &mut WorkBuffer<'_, ObjectRef>) -> u64 {
-        let header = self
-            .heap
-            .scan_refs(obj, |child| self.mark_and_push(child, buf));
+        });
         header.size_bytes() as u64
     }
 
-    /// Stop-the-world tracing of one object (allocation bits are all
-    /// published; no deferral needed).
-    pub(crate) fn trace_object_stw(
-        &self,
-        obj: ObjectRef,
-        buf: &mut WorkBuffer<'_, ObjectRef>,
-    ) -> u64 {
-        debug_assert!(
-            self.heap.is_published(obj),
-            "unpublished object reached STW tracing"
-        );
-        self.scan_object(obj, buf)
+    /// Hands the grey buffer to `buf`'s output packet with one bulk push
+    /// and leaves it empty. Every tracer does this before its next pop
+    /// and before `finish()`, so no grey object sits outside the pool
+    /// once its `WorkBuffer` is finished.
+    #[inline]
+    pub(crate) fn push_grey(&self, buf: &mut WorkBuffer<'_, ObjectRef>, grey: &mut Vec<ObjectRef>) {
+        buf.push_many(grey, |obj| self.overflow_to_card(obj));
     }
 
-    /// Pops up to `trace_batch` objects into `batch` (cleared first) and
-    /// prefetches each one's header, so the scans that follow find the
-    /// whole batch in flight at once: packets make the next objects to
-    /// trace known in advance (§4.1). Returns the number popped; 0 means
-    /// the buffer had no work.
+    /// §4.3 temporary overflow: no packet took `obj`. It stays marked and
+    /// its card is dirtied, so final card cleaning rescans it.
+    #[cold]
+    fn overflow_to_card(&self, obj: ObjectRef) {
+        let n = self.counters.overflows.fetch_add(1, Ordering::Relaxed) + 1;
+        self.heap.cards().dirty(obj.card());
+        if n.is_multiple_of(OVERFLOW_BACKOFF_PERIOD) {
+            self.tel.on_overflow_backoff();
+            std::thread::yield_now();
+        }
+    }
+
+    /// Pops up to `trace_batch` objects into `batch` (cleared first) with
+    /// one bulk pop, then prefetches each one's header, so the scans that
+    /// follow find the whole batch in flight at once: packets make the
+    /// next objects to trace known in advance (§4.1). Returns the number
+    /// popped; 0 means the buffer had no work.
     #[inline]
     pub(crate) fn pop_batch(
         &self,
@@ -90,30 +79,26 @@ impl Gc {
         batch: &mut Vec<ObjectRef>,
     ) -> usize {
         batch.clear();
-        let limit = self.config.trace_batch.max(1);
-        while batch.len() < limit {
-            match buf.pop() {
-                Some(obj) => {
-                    self.heap.prefetch(obj);
-                    batch.push(obj);
-                }
-                None => break,
-            }
+        let n = buf.pop_many(batch, self.config.trace_batch.max(1));
+        for &obj in batch.iter() {
+            self.heap.prefetch(obj);
         }
-        batch.len()
+        n
     }
 
     /// One §5.2 batch: pops up to `trace_batch` objects, tests their
     /// allocation bits, issues one acquire fence, traces the safe ones
     /// and defers the unsafe ones. Returns `(objects_processed, bytes)`;
-    /// `(0, 0)` means the buffer had no work. `batch` and `safety` are
-    /// the caller's scratch buffers, reused across batches.
+    /// `(0, 0)` means the buffer had no work. `batch`, `safety` and
+    /// `grey` are the caller's scratch buffers, reused across batches;
+    /// `grey` is empty again on return.
     pub(crate) fn trace_batch_concurrent(
         &self,
         buf: &mut WorkBuffer<'_, ObjectRef>,
         batch: &mut Vec<ObjectRef>,
         safety: &mut Vec<bool>,
         deferred: &mut Vec<ObjectRef>,
+        grey: &mut Vec<ObjectRef>,
     ) -> (usize, u64) {
         if self.pop_batch(buf, batch) == 0 {
             return (0, 0);
@@ -128,11 +113,12 @@ impl Gc {
         let mut bytes = 0;
         for (&obj, &safe) in batch.iter().zip(safety.iter()) {
             if safe {
-                bytes += self.scan_object(obj, buf);
+                bytes += self.scan_into(obj, grey);
             } else {
                 deferred.push(obj);
             }
         }
+        self.push_grey(buf, grey);
         (batch.len(), bytes)
     }
 
@@ -200,6 +186,7 @@ impl Gc {
         let mut batch = Vec::with_capacity(self.config.trace_batch);
         let mut safety = Vec::with_capacity(self.config.trace_batch);
         let mut deferred = Vec::new();
+        let mut grey = Vec::new();
         let mut done = 0u64;
         let mut recycled_this_increment = false;
         while done < quota {
@@ -209,8 +196,13 @@ impl Gc {
             if let Some(m) = requester {
                 self.poll_handshake(m);
             }
-            let (n, bytes) =
-                self.trace_batch_concurrent(&mut buf, &mut batch, &mut safety, &mut deferred);
+            let (n, bytes) = self.trace_batch_concurrent(
+                &mut buf,
+                &mut batch,
+                &mut safety,
+                &mut deferred,
+                &mut grey,
+            );
             if n > 0 {
                 done += bytes;
                 self.credit_tracing(role, bytes);
@@ -218,7 +210,7 @@ impl Gc {
             }
             // No packet work: clean cards (§2.1 — deferred as long as
             // tracing work was available).
-            let cleaned = self.clean_cards_quantum(&mut buf, requester);
+            let cleaned = self.clean_cards_quantum(&mut buf, &mut grey, requester);
             if cleaned > 0 {
                 done += cleaned;
                 self.credit_tracing(role, cleaned);
@@ -296,10 +288,12 @@ impl Gc {
     /// One card-cleaning quantum: refills the registry by snapshotting a
     /// slice of the card table (one handshake per batch, §5.3), then
     /// cleans a few registered cards. Returns bytes of work done (0 =
-    /// no cards left this pass).
+    /// no cards left this pass). `grey` is scratch, empty again on
+    /// return.
     pub(crate) fn clean_cards_quantum(
         &self,
         buf: &mut WorkBuffer<'_, ObjectRef>,
+        grey: &mut Vec<ObjectRef>,
         requester: Option<&Arc<MutatorShared>>,
     ) -> u64 {
         let ncards = self.heap.cards().len();
@@ -349,8 +343,9 @@ impl Gc {
         };
         let mut bytes = 0;
         for &card in &take {
-            bytes += self.clean_one_card(card, buf, false);
+            bytes += self.clean_one_card(card, grey, false);
         }
+        self.push_grey(buf, grey);
         self.counters
             .cards_cleaned_conc
             .fetch_add(take.len() as u64, Ordering::Relaxed);
@@ -409,14 +404,10 @@ impl Gc {
 
     /// §5.3 step 3: cleans one registered card — rescans the marked
     /// objects starting on it so references stored after their trace are
-    /// discovered. Returns bytes scanned. Callers count cleaned cards
-    /// (once per batch, not per card).
-    pub(crate) fn clean_one_card(
-        &self,
-        card: usize,
-        buf: &mut WorkBuffer<'_, ObjectRef>,
-        stw: bool,
-    ) -> u64 {
+    /// discovered, appending newly marked children to `grey`. Returns
+    /// bytes scanned. Callers push `grey` and count cleaned cards once
+    /// per batch, not per card.
+    pub(crate) fn clean_one_card(&self, card: usize, grey: &mut Vec<ObjectRef>, stw: bool) -> u64 {
         let start = card * mcgc_heap::GRANULES_PER_CARD;
         let end = ((card + 1) * mcgc_heap::GRANULES_PER_CARD).min(self.heap.granules());
         let mut bytes = 0;
@@ -432,7 +423,7 @@ impl Gc {
         while let Some(found) = marks.next_set_before(g, end) {
             if alloc.get(found) {
                 let obj = ObjectRef::from_granule(found as u32);
-                bytes += self.scan_object(obj, buf);
+                bytes += self.scan_into(obj, grey);
             } else {
                 // §5.2: unsafe to scan until its allocation bit batch is
                 // published; keep the card as coverage instead.
@@ -451,29 +442,36 @@ impl Gc {
     // root scanning
     // ------------------------------------------------------------------
 
+    /// Marks the root references in `roots`, keeps those this call
+    /// marked, and pushes them: `roots` is the grey buffer, left empty.
+    pub(crate) fn push_roots(
+        &self,
+        buf: &mut WorkBuffer<'_, ObjectRef>,
+        roots: &mut Vec<ObjectRef>,
+    ) {
+        roots.retain(|&r| self.heap.mark(r));
+        self.push_grey(buf, roots);
+    }
+
     /// Scans a mutator's shadow stack, marking and queueing its roots.
     pub(crate) fn scan_stack(&self, m: &Arc<MutatorShared>, buf: &mut WorkBuffer<'_, ObjectRef>) {
-        let (refs, slots) = m.snapshot_roots();
+        let (mut refs, slots) = m.snapshot_roots();
         self.counters
             .root_slots
             .fetch_add(slots as u64, Ordering::Relaxed);
-        for r in refs {
-            self.mark_and_push(r, buf);
-        }
+        self.push_roots(buf, &mut refs);
     }
 
     /// Scans the global root table.
     pub(crate) fn scan_global_roots(&self, buf: &mut WorkBuffer<'_, ObjectRef>) {
-        let roots: Vec<ObjectRef> = {
+        let mut roots: Vec<ObjectRef> = {
             let g = self.global_roots.lock();
             self.counters
                 .root_slots
                 .fetch_add(g.len() as u64, Ordering::Relaxed);
             g.iter().filter_map(|&raw| ObjectRef::decode(raw)).collect()
         };
-        for r in roots {
-            self.mark_and_push(r, buf);
-        }
+        self.push_roots(buf, &mut roots);
     }
 
     /// Concurrent once-per-cycle scan of the calling mutator's own stack

@@ -24,6 +24,15 @@
 //! let mut tracer = WorkBuffer::new(&pool);
 //! assert_eq!(tracer.push(7), PushOutcome::Pushed);
 //! assert_eq!(tracer.pop(), Some(7));
+//!
+//! // Tracing loops move entries in bulk: pop a batch, gather the
+//! // children it marks into a local grey buffer, push that in one call.
+//! let mut grey = vec![1, 2, 3];
+//! tracer.push_many(&mut grey, |_overflowed| unreachable!("pool has room"));
+//! assert!(grey.is_empty());
+//! let mut batch = Vec::new();
+//! assert_eq!(tracer.pop_many(&mut batch, 64), 3);
+//! assert_eq!(batch, [3, 2, 1]);
 //! tracer.finish();
 //! assert!(pool.is_tracing_complete());
 //! ```

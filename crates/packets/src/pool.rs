@@ -573,11 +573,38 @@ impl<'p, T> Packet<'p, T> {
         self.body().pop()
     }
 
-    /// Peeks at the entry the next [`Packet::pop`] returns — work packets
-    /// make the next object to trace known in advance, enabling prefetch
-    /// (§4.1).
-    pub fn peek(&self) -> Option<&T> {
-        self.body_ref().last()
+    /// Pushes the longest prefix of `items` that fits, with one copy, and
+    /// returns its length: the same entries, in the same order, as that
+    /// many [`Packet::push`] calls. A condemned handle takes nothing.
+    pub(crate) fn push_slice(&mut self, items: &[T]) -> usize
+    where
+        T: Copy,
+    {
+        if self.is_condemned() {
+            return 0;
+        }
+        let capacity = self.pool.capacity;
+        let body = self.body();
+        let n = items.len().min(capacity.saturating_sub(body.len()));
+        body.extend_from_slice(&items[..n]);
+        self.dirty |= n > 0;
+        n
+    }
+
+    /// Appends up to `max` entries to `out`, in the order that many
+    /// [`Packet::pop`] calls would return them, and returns how many
+    /// moved. A condemned handle yields nothing.
+    pub(crate) fn pop_into(&mut self, out: &mut Vec<T>, max: usize) -> usize
+    where
+        T: Copy,
+    {
+        if self.is_condemned() {
+            return 0;
+        }
+        let body = self.body();
+        let n = max.min(body.len());
+        out.extend(body.drain(body.len() - n..).rev());
+        n
     }
 
     /// Routes this packet to the Deferred sub-pool when dropped (§5.2).
@@ -690,7 +717,6 @@ mod tests {
         assert!(pk.is_empty());
         pk.push(1).unwrap();
         pk.push(2).unwrap();
-        assert_eq!(pk.peek(), Some(&2));
         assert_eq!(pk.pop(), Some(2));
         assert_eq!(pk.len(), 1);
         p.put(pk);
@@ -700,6 +726,30 @@ mod tests {
         assert_eq!(pk.pop(), None);
         p.put(pk);
         assert!(p.is_tracing_complete());
+    }
+
+    #[test]
+    fn slice_push_and_pop_into_match_per_entry_order() {
+        let p = pool(4, 4);
+        let mut pk = p.get_output().unwrap();
+        pk.push(1).unwrap();
+        assert_eq!(
+            pk.push_slice(&[2, 3, 4, 5, 6]),
+            3,
+            "only the prefix that fits"
+        );
+        assert!(pk.is_full());
+        assert_eq!(pk.push_slice(&[7]), 0);
+        let mut out = vec![0];
+        assert_eq!(pk.pop_into(&mut out, 3), 3);
+        assert_eq!(out, vec![0, 4, 3, 2], "appended in pop order");
+        assert_eq!(pk.pop_into(&mut out, 9), 1);
+        assert_eq!(pk.pop_into(&mut out, 9), 0);
+        pk.push(8).unwrap();
+        assert_eq!(p.condemn_outstanding(), 1);
+        assert_eq!(pk.push_slice(&[9]), 0, "condemned takes nothing");
+        assert_eq!(pk.pop_into(&mut out, 9), 0, "condemned yields nothing");
+        assert_eq!(out, vec![0, 4, 3, 2, 1]);
     }
 
     #[test]
@@ -851,17 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_next_pop() {
-        let p = pool(2, 4);
-        let mut pk = p.get_output().unwrap();
-        pk.push(10).unwrap();
-        pk.push(20).unwrap();
-        assert_eq!(pk.peek(), Some(&20));
-        assert_eq!(pk.pop(), Some(20));
-        assert_eq!(pk.peek(), Some(&10));
-    }
-
-    #[test]
     fn concurrent_churn_loses_nothing() {
         use std::sync::Arc;
         // Under Miri every CAS is interpreted; keep the shape (4
@@ -936,6 +975,74 @@ mod tests {
             assert!(p.is_tracing_complete());
         }
         assert!(p.stats().entries_watermark <= 64 * 8, "{:?}", p.stats());
+    }
+
+    #[test]
+    fn concurrent_bulk_transfer_loses_nothing() {
+        // The churn above through `WorkBuffer`'s bulk calls, with runs
+        // that straddle packet edges, overflow retried, and the same
+        // scale-down under Miri.
+        const PER_PRODUCER: u64 = if cfg!(miri) { 150 } else { 4000 };
+        const PRODUCERS: usize = 4;
+        let p = pool(64, 8);
+        let producers_done = AtomicUsize::new(0);
+        let produced = PRODUCERS as u64 * PER_PRODUCER;
+        let consumed: Vec<u64> = std::thread::scope(|s| {
+            for t in 0..PRODUCERS as u64 {
+                let (p, producers_done) = (&p, &producers_done);
+                s.spawn(move || {
+                    let mut w = crate::WorkBuffer::new(p);
+                    let mut items = Vec::new();
+                    let mut retry = Vec::new();
+                    let mut i = 0;
+                    while i < PER_PRODUCER {
+                        // Runs of 1..=37 items straddle packet edges.
+                        let run = (1 + (t + i) % 37).min(PER_PRODUCER - i);
+                        items.extend((i..i + run).map(|i| t * 1_000_000 + i));
+                        i += run;
+                        w.push_many(&mut items, |item| retry.push(item));
+                        while !retry.is_empty() {
+                            std::thread::yield_now();
+                            std::mem::swap(&mut items, &mut retry);
+                            w.push_many(&mut items, |item| retry.push(item));
+                        }
+                    }
+                    w.finish();
+                    producers_done.fetch_add(1, Ordering::Release);
+                });
+            }
+            let consumers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (p, producers_done) = (&p, &producers_done);
+                    s.spawn(move || {
+                        let mut w = crate::WorkBuffer::new(p);
+                        let mut got = Vec::new();
+                        loop {
+                            // Read before polling, as above.
+                            let finished = producers_done.load(Ordering::Acquire) == PRODUCERS;
+                            if w.pop_many(&mut got, 24) == 0 {
+                                if finished {
+                                    break;
+                                }
+                                std::thread::yield_now();
+                            }
+                        }
+                        got
+                    })
+                })
+                .collect();
+            consumers
+                .into_iter()
+                .flat_map(|h| h.join().unwrap())
+                .collect()
+        });
+        let unique: std::collections::HashSet<u64> = consumed.iter().copied().collect();
+        assert_eq!(unique.len(), consumed.len(), "no item consumed twice");
+        let left = p.stats().entries as u64;
+        assert_eq!(consumed.len() as u64 + left, produced, "no item lost");
+        if left == 0 {
+            assert!(p.is_tracing_complete());
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The per-thread tracing discipline over the packet pool (paper §4.1,
 //! §4.3): separate input and output packets, get-before-return
-//! replacement, and the overflow swap.
+//! replacement, and the overflow swap. Between packet exchanges, entries
+//! move in bulk ([`WorkBuffer::push_many`], [`WorkBuffer::pop_many`]).
 
 use crate::pool::{Packet, PacketPool};
 
@@ -201,10 +202,67 @@ impl<'p, T> WorkBuffer<'p, T> {
         }
     }
 
-    /// The next item [`WorkBuffer::pop`] would return, if already
-    /// buffered (prefetch hint, §4.1).
-    pub fn peek(&self) -> Option<&T> {
-        self.input.as_ref().and_then(|p| p.peek())
+    /// Pushes every item of `items`, in order, and leaves it empty. Each
+    /// run that fits the current output packet moves with one copy; at a
+    /// packet exchange (output full, absent or condemned) one item takes
+    /// the per-entry [`WorkBuffer::push`], so replacement, the §4.3 swap
+    /// and the condemned-handle rule apply exactly as there. Items that
+    /// overflow are passed to `overflow`, in order. The packets, counters
+    /// and overflowed items end up as `items.len()` calls to `push` would
+    /// leave them.
+    pub fn push_many(&mut self, items: &mut Vec<T>, mut overflow: impl FnMut(T))
+    where
+        T: Copy,
+    {
+        let mut rest = &items[..];
+        while let Some((&first, tail)) = rest.split_first() {
+            if let Some(out) = self.output.as_mut() {
+                let n = out.push_slice(rest);
+                if n > 0 {
+                    self.pushed += n as u64;
+                    rest = &rest[n..];
+                    continue;
+                }
+            }
+            if let PushOutcome::Overflow(item) = self.push(first) {
+                overflow(item);
+            }
+            rest = tail;
+        }
+        items.clear();
+    }
+
+    /// Pops up to `max` items onto the end of `out` and returns how many
+    /// it popped; 0 means no input work, as `pop` returning `None`. Each
+    /// run comes out of the input packet with one copy; at a packet
+    /// exchange (input exhausted, absent or condemned) one item takes the
+    /// per-entry [`WorkBuffer::pop`], so get-before-return replacement
+    /// and the own-output drain apply exactly as there. The items, their
+    /// order and the packets end up as calling `pop` until `max` items or
+    /// the first `None` would leave them.
+    pub fn pop_many(&mut self, out: &mut Vec<T>, max: usize) -> usize
+    where
+        T: Copy,
+    {
+        let mut popped = 0;
+        while popped < max {
+            if let Some(inp) = self.input.as_mut() {
+                let n = inp.pop_into(out, max - popped);
+                if n > 0 {
+                    self.popped += n as u64;
+                    popped += n;
+                    continue;
+                }
+            }
+            match self.pop() {
+                Some(item) => {
+                    out.push(item);
+                    popped += 1;
+                }
+                None => break,
+            }
+        }
+        popped
     }
 
     /// Returns both packets to the pool. Equivalent to drop; named for
@@ -371,5 +429,159 @@ mod tests {
         assert_eq!(all.len(), unique.len(), "no item processed twice");
         assert_eq!(unique.len(), TREE as usize, "every item processed");
         assert!(p.is_tracing_complete());
+    }
+
+    /// One step of a scripted single-thread tracer run.
+    #[derive(Copy, Clone, Debug)]
+    enum Step {
+        /// Push this many fresh items.
+        Push(usize),
+        /// Pop up to this many items.
+        Pop(usize),
+        /// The watchdog revokes every held packet.
+        Condemn,
+    }
+
+    /// Everything a run can observe: popped and overflowed items in
+    /// order, the buffer's counters and held packet lengths after each
+    /// step, then the pool's counters and pooled entries once the buffer
+    /// is finished.
+    #[derive(Debug, PartialEq)]
+    struct Transcript {
+        popped: Vec<u64>,
+        overflowed: Vec<u64>,
+        states: Vec<[u64; 5]>,
+        held: Vec<(Option<usize>, Option<usize>)>,
+        stats: crate::pool::PoolStats,
+        pooled: Vec<u64>,
+    }
+
+    /// Runs `steps` on a fresh `packets` × `capacity` pool, through the
+    /// bulk calls or through per-entry `push`/`pop`.
+    fn run_script(packets: usize, capacity: usize, steps: &[Step], bulk: bool) -> Transcript {
+        let p = pool(packets, capacity);
+        let mut w = WorkBuffer::new(&p);
+        let (mut popped, mut overflowed) = (Vec::new(), Vec::new());
+        let (mut states, mut held) = (Vec::new(), Vec::new());
+        let mut next = 0u64;
+        for &step in steps {
+            match step {
+                Step::Push(k) if bulk => {
+                    let mut items: Vec<u64> = (next..next + k as u64).collect();
+                    w.push_many(&mut items, |i| overflowed.push(i));
+                    assert!(items.is_empty());
+                }
+                Step::Push(k) => {
+                    for i in next..next + k as u64 {
+                        if let PushOutcome::Overflow(i) = w.push(i) {
+                            overflowed.push(i);
+                        }
+                    }
+                }
+                Step::Pop(k) if bulk => {
+                    let before = popped.len();
+                    let n = w.pop_many(&mut popped, k);
+                    assert_eq!(n, popped.len() - before);
+                }
+                Step::Pop(k) => {
+                    for _ in 0..k {
+                        match w.pop() {
+                            Some(i) => popped.push(i),
+                            None => break,
+                        }
+                    }
+                }
+                Step::Condemn => {
+                    p.condemn_outstanding();
+                }
+            }
+            if let Step::Push(k) = step {
+                next += k as u64;
+            }
+            states.push([
+                w.pushed(),
+                w.popped(),
+                w.overflows(),
+                w.input_claims(),
+                w.output_claims(),
+            ]);
+            held.push((
+                w.input.as_ref().map(|pk| pk.len()),
+                w.output.as_ref().map(|pk| pk.len()),
+            ));
+        }
+        w.finish();
+        Transcript {
+            popped,
+            overflowed,
+            states,
+            held,
+            stats: p.stats(),
+            // SAFETY: single-threaded; every packet is back on a list.
+            pooled: unsafe { p.snapshot_entries() },
+        }
+    }
+
+    /// Runs `steps` both ways, asserts the transcripts match, and returns
+    /// the per-entry one.
+    fn bulk_matches_per_entry(packets: usize, capacity: usize, steps: &[Step]) -> Transcript {
+        let bulk = run_script(packets, capacity, steps, true);
+        let single = run_script(packets, capacity, steps, false);
+        assert_eq!(bulk, single, "{packets}x{capacity} {steps:?}");
+        single
+    }
+
+    #[test]
+    fn bulk_transfer_matches_per_entry_at_every_exchange() {
+        use Step::*;
+        // A run across several full output packets, read back across
+        // several input replacements.
+        let t = bulk_matches_per_entry(8, 4, &[Push(10), Pop(3), Pop(20)]);
+        assert_eq!(t.popped.len(), 10);
+        assert!(t.states[0][4] >= 3, "10 items fill three output packets");
+        // §4.3 swap, then pool exhaustion: with both packets held, item 8
+        // fits only by swapping in the 3-entry input, and item 9 overflows.
+        let t = bulk_matches_per_entry(2, 4, &[Push(8), Pop(1), Push(2)]);
+        assert_eq!(t.overflowed, vec![9]);
+        assert_eq!(t.states[2][0], 9, "the swap took item 8");
+        // Condemned output: the next push replaces it and its entries are
+        // written off. Condemned input: the next pop replaces it.
+        let t = bulk_matches_per_entry(8, 4, &[Push(6), Pop(1), Condemn, Push(3), Pop(5)]);
+        assert_eq!(t.popped, vec![3, 8, 7, 6]);
+        assert!(t.pooled.is_empty());
+        assert_eq!(t.stats.condemned, 0);
+    }
+
+    #[test]
+    fn bulk_transfer_matches_per_entry_seeded() {
+        // splitmix64: a seeded stream with no dependency.
+        fn next(state: &mut u64) -> u64 {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        const SEEDS: u64 = if cfg!(miri) { 12 } else { 400 };
+        let (mut overflows, mut condemned) = (0, 0);
+        for seed in 0..SEEDS {
+            let mut s = seed;
+            let packets = 2 + (next(&mut s) % 5) as usize;
+            let capacity = 1 + (next(&mut s) % 8) as usize;
+            let steps: Vec<Step> = (0..1 + next(&mut s) % 24)
+                .map(|_| match next(&mut s) % 16 {
+                    0 => Step::Condemn,
+                    r if r < 9 => Step::Push((next(&mut s) % 20) as usize),
+                    _ => Step::Pop((next(&mut s) % 20) as usize),
+                })
+                .collect();
+            let t = bulk_matches_per_entry(packets, capacity, &steps);
+            overflows += t.overflowed.len();
+            condemned += steps.iter().filter(|s| matches!(s, Step::Condemn)).count();
+        }
+        assert!(
+            overflows > 0 && condemned > 0,
+            "scripts reach exhaustion and condemnation"
+        );
     }
 }

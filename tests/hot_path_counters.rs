@@ -2,11 +2,18 @@
 //! flush per batch: traced bytes in the stop-the-world drain (flushed
 //! once per packet batch, scanned in prefetched batches of `trace_batch`
 //! objects) and the write-barrier count (flushed once per safepoint-poll
-//! period and when a mutator drops). A local sum that is never flushed,
-//! or a popped object left unscanned when a drain worker stops, breaks
-//! these equalities.
+//! period and when a mutator drops). The drain moves packet entries in
+//! bulk: each batch comes out of the input packet with one `pop_many`,
+//! and the children it marks go out through a local grey buffer with one
+//! `push_many`. A local sum that is never flushed, a popped object left
+//! unscanned when a drain worker stops, or a grey buffer not pushed
+//! before its `WorkBuffer` finishes breaks these equalities. With a pool
+//! too small for the graph, the bulk push's §4.3 overflow arm must still
+//! leave the live set exact.
 
-use mcgc::{Gc, GcConfig, Mutator, ObjectRef, ObjectShape, SweepMode, Trigger};
+use mcgc::{
+    CycleStats, Gc, GcConfig, Mutator, ObjectRef, ObjectShape, PoolConfig, SweepMode, Trigger,
+};
 
 const LIST_NODES: usize = 20_000;
 const TREE_DEPTH: u32 = 12;
@@ -44,10 +51,15 @@ fn build_graph(m: &mut Mutator) -> (u64, u64) {
     )
 }
 
-fn assert_drain_accounts_every_byte(workers: usize, trace_batch: usize) {
+/// Builds the graph on a fresh STW collector with `workers` STW workers,
+/// `trace_batch` and `pool`, collects it explicitly, and asserts that
+/// the cycle found exactly the graph's objects and bytes live. Returns
+/// the cycle's stats and a label for the case.
+fn collect_graph(workers: usize, trace_batch: usize, pool: PoolConfig) -> (CycleStats, String) {
     let mut cfg = GcConfig::stw_with_heap_bytes(32 << 20);
     cfg.stw_workers = workers;
     cfg.trace_batch = trace_batch;
+    cfg.pool = pool;
     cfg.sweep = SweepMode::Eager;
     let gc = Gc::new(cfg);
     let (objects, bytes) = {
@@ -57,17 +69,22 @@ fn assert_drain_accounts_every_byte(workers: usize, trace_batch: usize) {
         graph
     };
     let log = gc.log();
-    let c = log.cycles.last().expect("a collection ran");
-    assert_eq!(c.trigger, Some(Trigger::Explicit));
-    let case = format!("workers={workers} trace_batch={trace_batch}");
-    assert_eq!(c.overflows, 0, "{case}: no §4.3 overflow");
+    let c = log.cycles.last().expect("a collection ran").clone();
+    let case = format!("workers={workers} trace_batch={trace_batch} pool={pool:?}");
+    assert_eq!(c.trigger, Some(Trigger::Explicit), "{case}");
     assert_eq!(c.live_after_objects, objects, "{case}");
     assert_eq!(c.live_after_bytes, bytes, "{case}");
+    gc.shutdown();
+    (c, case)
+}
+
+fn assert_drain_accounts_every_byte(workers: usize, trace_batch: usize) {
+    let (c, case) = collect_graph(workers, trace_batch, PoolConfig::default());
+    assert_eq!(c.overflows, 0, "{case}: no §4.3 overflow");
     assert_eq!(
         c.stw_traced_bytes, c.live_after_bytes,
         "{case}: every live object traced exactly once"
     );
-    gc.shutdown();
 }
 
 #[test]
@@ -89,6 +106,24 @@ fn stw_drain_traces_live_bytes_exactly_at_batch_edges() {
         for workers in [1, 4] {
             assert_drain_accounts_every_byte(workers, trace_batch);
         }
+    }
+}
+
+/// A pool of 4 packets of 8 entries cannot hold the drain's grey set, so
+/// the bulk push overflows (§4.3): each overflowed object stays marked,
+/// its card is dirtied, and the pause's re-clean rounds rescan it. The
+/// live set must still come out exact. (Card cleaning, not the drain,
+/// scans the overflowed objects, so `stw_traced_bytes` is not compared
+/// here.)
+#[test]
+fn stw_drain_overflow_keeps_live_set_exact() {
+    let tiny = PoolConfig {
+        packets: 4,
+        capacity: 8,
+    };
+    for workers in [1, 4] {
+        let (c, case) = collect_graph(workers, 64, tiny);
+        assert!(c.overflows > 0, "{case}: the pool overflowed");
     }
 }
 

@@ -8,9 +8,10 @@ use mcgc::packets::{PacketPool, PoolConfig, PushOutcome, WorkBuffer};
 use mcgc::workloads::rng::SmallRng;
 use mcgc::{Gc, GcConfig, ObjectShape};
 
-/// §4.3 termination: after arbitrary single-threaded push/pop sequences,
-/// the pool reports completion exactly when no work remains anywhere.
-/// Sequences come from the in-repo seeded PRNG (256 cases).
+/// §4.3 termination: after arbitrary single-threaded sequences of
+/// per-entry and bulk pushes and pops, the pool reports completion
+/// exactly when no work remains anywhere. Sequences come from the
+/// in-repo seeded PRNG (256 cases).
 #[test]
 fn termination_matches_reality_proptest() {
     for seed in 0..256u64 {
@@ -22,14 +23,36 @@ fn termination_matches_reality_proptest() {
         let mut buf = WorkBuffer::new(&pool);
         let mut outstanding = 0u64;
         let mut next = 0u64;
+        let mut scratch = Vec::new();
         for _ in 0..rng.gen_range_usize(1, 500) {
-            if rng.gen_bool() {
-                if let PushOutcome::Pushed = buf.push(next) {
-                    outstanding += 1;
-                    next += 1;
+            match rng.gen_range_usize(0, 4) {
+                0 => {
+                    if let PushOutcome::Pushed = buf.push(next) {
+                        outstanding += 1;
+                        next += 1;
+                    }
                 }
-            } else if buf.pop().is_some() {
-                outstanding -= 1;
+                1 => {
+                    if buf.pop().is_some() {
+                        outstanding -= 1;
+                    }
+                }
+                2 => {
+                    let run = rng.gen_range_usize(0, 40) as u64;
+                    scratch.extend(next..next + run);
+                    next += run;
+                    let mut overflowed = 0;
+                    buf.push_many(&mut scratch, |_| overflowed += 1);
+                    outstanding += run - overflowed;
+                }
+                _ => {
+                    scratch.clear();
+                    let max = rng.gen_range_usize(0, 40);
+                    let popped = buf.pop_many(&mut scratch, max);
+                    assert_eq!(popped, scratch.len(), "seed {seed}");
+                    outstanding -= popped as u64;
+                    scratch.clear();
+                }
             }
         }
         while buf.pop().is_some() {

@@ -123,6 +123,8 @@ fn pause_walls_are_their_spans_durations() {
                     .map(|s| Duration::from_nanos(s.duration_ns()))
                     .sum()
             };
+            assert_eq!(of(SpanKind::PauseRetire).len(), 1, "{cy:?}");
+            assert_eq!(c.retire_wall, wall(&[SpanKind::PauseRetire]), "{cy:?}");
             assert_eq!(of(SpanKind::PauseRoots).len(), 1, "{cy:?}");
             assert_eq!(c.roots_wall, wall(&[SpanKind::PauseRoots]), "{cy:?}");
             assert_eq!(of(SpanKind::PauseSweep).len(), 1, "{cy:?}");
