@@ -611,9 +611,9 @@ impl Gc {
         self.write_barriers.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Removes a mutator from the rendezvous. Its `Drop` has already
+    /// retired its cache.
     pub(crate) fn deregister_mutator(&self, shared: &Arc<MutatorShared>) {
-        // Retire the cache first (heap ops, done while still "unsafe").
-        self.heap.retire_cache(&mut shared.cache.lock());
         let mut g = self.stw.lock();
         self.mutators.lock().retain(|m| m.id != shared.id);
         g.registered -= 1;
@@ -1064,7 +1064,12 @@ impl Gc {
         //    bits; sweep needs cache tails back on the free list).
         let mutators: Vec<Arc<MutatorShared>> = self.mutators.lock().clone();
         for m in &mutators {
-            self.heap.retire_cache(&mut m.cache.lock());
+            // SAFETY: the world is stopped (`stop_world` returned,
+            // `resume_world` not yet run), so every other owner is safe,
+            // holds no borrow, and its last access happened-before
+            // `stop_world` returned, through the stw mutex. This thread's
+            // own `Mutator`, if any, holds none across `collect_*`.
+            self.heap.retire_cache(unsafe { m.cache.owned_mut() });
         }
         retire.set_arg(mutators.len() as u64);
 

@@ -80,7 +80,10 @@ impl Mutator {
         if heap.is_large(shape) {
             return self.alloc_large(shape);
         }
-        if let Some(obj) = heap.alloc_small(&mut self.shared.cache.lock(), shape) {
+        // SAFETY: the owner's access (`&mut self`, thread running); the
+        // borrow ends before any call that can enter a safe state.
+        let cache = unsafe { self.shared.cache.owned_mut() };
+        if let Some(obj) = heap.alloc_small(cache, shape) {
             return Ok(obj);
         }
         self.alloc_small_slow(shape)
@@ -114,9 +117,12 @@ impl Mutator {
             self.gc.maybe_kickoff();
             self.gc.mutator_increment(&self.shared, refill_bytes);
             {
-                let mut cache = self.shared.cache.lock();
-                if self.gc.heap.refill_cache(&mut cache, shape.granules()) {
-                    if let Some(obj) = self.gc.heap.alloc_small(&mut cache, shape) {
+                // SAFETY: the owner's access (`&mut self`, thread
+                // running). The borrow is scoped to this block: the
+                // ladder below can stop the world and retire this cache.
+                let cache = unsafe { self.shared.cache.owned_mut() };
+                if self.gc.heap.refill_cache(cache, shape.granules()) {
+                    if let Some(obj) = self.gc.heap.alloc_small(cache, shape) {
                         return Ok(obj);
                     }
                 }
@@ -445,6 +451,11 @@ impl Escalation {
 impl Drop for Mutator {
     fn drop(&mut self) {
         self.gc.count_write_barriers(self.writes_since_poll.into());
+        // Retire the cache while still registered and running: no pause
+        // can retire it meanwhile, and none sees it once deregistered.
+        // SAFETY: the owner's last access (`&mut self`, thread running).
+        let cache = unsafe { self.shared.cache.owned_mut() };
+        self.gc.heap.retire_cache(cache);
         self.gc.deregister_mutator(&self.shared);
     }
 }

@@ -117,6 +117,15 @@ impl Bitmap {
         self.words[w].fetch_and(keep, Ordering::Relaxed);
     }
 
+    /// Atomically ORs `bits` into backing word `w`: every bit already
+    /// set (including ones a concurrent `set` publishes meanwhile) stays
+    /// set. Allocation-bit publication's per-word form of
+    /// [`Bitmap::set`].
+    #[inline]
+    pub(crate) fn or_word(&self, w: usize, bits: u64) {
+        self.words[w].fetch_or(bits, Ordering::Relaxed);
+    }
+
     /// Finds the first set bit at or after `from`, or `None`.
     pub fn next_set(&self, from: usize) -> Option<usize> {
         self.next_set_before(from, self.len)
@@ -263,6 +272,8 @@ mod tests {
         assert_eq!(b.load_word(3), 1 << (199 % 64));
         b.and_word(0, 1 << 63);
         assert_eq!(b.load_word(0), 1 << 63, "bits clear in `keep` cleared");
+        b.or_word(0, 0b110);
+        assert_eq!(b.load_word(0), (1 << 63) | 0b110, "set bits kept");
         b.clear_words(0, 1);
         assert_eq!(b.load_word(0), 0);
         assert!(b.get(64) && b.get(199), "other words untouched");

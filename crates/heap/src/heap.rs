@@ -826,10 +826,15 @@ impl Heap {
     }
 
     /// Publishes `cache`'s pending allocations: one release fence, then
-    /// the allocation bits (§5.2 mutator steps 2–3). Also folds the
-    /// batch into [`Heap::bytes_allocated`] / [`Heap::objects_allocated`];
-    /// every refill and retire publishes, so the totals are exact at
-    /// every pause and once a cache is retired.
+    /// the allocation bits (§5.2 mutator steps 2–3). Bump allocation
+    /// keeps `pending` ascending, so the bits go out a bitmap word at a
+    /// time (`HeapBitmap::set_many`): one `fetch_or` per word, not per
+    /// object. A word's bits become visible together, and none before
+    /// the fence, so a tracer that sees a bit set still sees the object
+    /// it publishes. Also folds the batch into
+    /// [`Heap::bytes_allocated`] / [`Heap::objects_allocated`]; every
+    /// refill and retire publishes, so the totals are exact at every
+    /// pause and once a cache is retired.
     pub fn publish_cache(&self, cache: &mut AllocCache) {
         if cache.pending.is_empty() {
             return;
@@ -839,9 +844,7 @@ impl Heap {
         self.objects_allocated
             .fetch_add(cache.pending.len() as u64, Ordering::Relaxed);
         release_fence(FenceKind::AllocBatch);
-        for &g in &cache.pending {
-            self.alloc_bits.set(g as usize);
-        }
+        self.alloc_bits.set_many(&cache.pending);
         cache.pending.clear();
     }
 
@@ -1506,5 +1509,115 @@ mod tests {
         });
         assert_eq!(heap.segment_granules() * GRANULE_BYTES, 64 << 10);
         assert_eq!(heap.segment_stats().initial, 16);
+    }
+
+    /// A heap of 512-granule segments (the minimum), so bitmap words and
+    /// segment ends are both close at hand.
+    fn small_segment_heap() -> Heap {
+        Heap::new(HeapConfig {
+            heap_bytes: 64 << 10,
+            cache_bytes: 4 << 10,
+            segment_bytes: SEGMENT_ALIGN_GRANULES * GRANULE_BYTES,
+            ..HeapConfig::default()
+        })
+    }
+
+    /// Bump-allocates objects of `sizes` granules from a cache over
+    /// `[start, end)` and publishes it. The region is placed by hand:
+    /// these tests need word and segment edges the free list would not
+    /// pick on its own. Returns the object starts; asserts no bit shows
+    /// before the publication.
+    fn publish_region(heap: &Heap, start: usize, end: usize, sizes: &[usize]) -> Vec<usize> {
+        let mut cache = AllocCache {
+            start,
+            cursor: start,
+            end,
+            ..AllocCache::default()
+        };
+        let starts: Vec<usize> = sizes
+            .iter()
+            .map(|&n| {
+                let shape = ObjectShape::new(0, n as u32 - 1, 0);
+                heap.alloc_small(&mut cache, shape).unwrap().index()
+            })
+            .collect();
+        assert!(starts.windows(2).all(|w| w[0] < w[1]), "bump order ascends");
+        assert!(starts.iter().all(|&g| !heap.alloc_bits().get(g)));
+        heap.publish_cache(&mut cache);
+        assert_eq!(cache.pending_count(), 0);
+        starts
+    }
+
+    /// Every allocation bit in the heap, compared with `reference`.
+    #[track_caller]
+    fn assert_alloc_bits_exact(heap: &Heap, reference: &std::collections::BTreeSet<usize>) {
+        let bits = heap.alloc_bits();
+        let set: Vec<usize> = (0..bits.len()).filter(|&g| bits.get(g)).collect();
+        let want: Vec<usize> = reference.iter().copied().collect();
+        assert_eq!(set, want);
+    }
+
+    /// Sizes cycling through small, word-sized and word-straddling
+    /// objects until `total` granules are used.
+    fn mixed_sizes(total: usize) -> Vec<usize> {
+        const CYCLE: [usize; 12] = [1, 2, 3, 5, 8, 13, 21, 64, 65, 1, 1, 34];
+        let mut sizes = Vec::new();
+        let mut used = 0;
+        for &n in CYCLE.iter().cycle() {
+            if used + n > total {
+                break;
+            }
+            sizes.push(n);
+            used += n;
+        }
+        sizes
+    }
+
+    #[test]
+    fn publication_sets_exactly_the_object_starts() {
+        let heap = small_segment_heap();
+        assert_eq!(heap.segment_granules(), SEGMENT_ALIGN_GRANULES);
+        let mut reference = std::collections::BTreeSet::new();
+
+        // 1-granule objects: 64 to a word, starting mid-word.
+        let ones = vec![1; 200];
+        reference.extend(publish_region(&heap, 64 * 3 + 5, 64 * 3 + 205, &ones));
+        assert_alloc_bits_exact(&heap, &reference);
+
+        // Mixed sizes straddling word edges, some skipping whole words.
+        let (lo, hi) = (64 * 10 + 60, 64 * 10 + 60 + 700);
+        reference.extend(publish_region(&heap, lo, hi, &mixed_sizes(hi - lo)));
+        assert_alloc_bits_exact(&heap, &reference);
+
+        // A region crossing a segment boundary (objects may too).
+        let seg_end = 4 * SEGMENT_ALIGN_GRANULES;
+        let (lo, hi) = (seg_end - 97, seg_end + 300);
+        let starts = publish_region(&heap, lo, hi, &mixed_sizes(hi - lo));
+        assert!(starts.iter().any(|&g| g < seg_end) && starts.iter().any(|&g| g >= seg_end));
+        reference.extend(starts);
+        assert_alloc_bits_exact(&heap, &reference);
+    }
+
+    #[test]
+    fn publication_keeps_a_neighbouring_caches_bits() {
+        let heap = small_segment_heap();
+        let mut reference = std::collections::BTreeSet::new();
+        // Two caches split one word at granule 64*20 + 37; the lower one
+        // publishes first, then the upper one ORs into the shared word.
+        let split = 64 * 20 + 37;
+        reference.extend(publish_region(
+            &heap,
+            64 * 20 + 3,
+            split,
+            &[1, 2, 5, 1, 3, 7, 1, 2, 5, 1],
+        ));
+        reference.extend(publish_region(&heap, split, split + 90, &mixed_sizes(90)));
+        assert_alloc_bits_exact(&heap, &reference);
+        // The other way round, across a word and a segment edge: the
+        // upper cache publishes first.
+        let split = 6 * SEGMENT_ALIGN_GRANULES + 11;
+        reference.extend(publish_region(&heap, split, split + 150, &mixed_sizes(150)));
+        reference.extend(publish_region(&heap, split - 150, split, &mixed_sizes(150)));
+        assert_alloc_bits_exact(&heap, &reference);
     }
 }

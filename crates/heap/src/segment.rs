@@ -462,6 +462,47 @@ impl HeapBitmap {
         self.bm(s).set(off)
     }
 
+    /// Atomically sets the bits at `granules`: one segment lookup per run
+    /// of granules inside one segment, and one `fetch_or` per bitmap word
+    /// the run touches. Any order is correct; ascending order (a
+    /// bump-allocated cache's pending starts) makes the runs whole
+    /// segments. No word straddles two segments (module docs), so a word
+    /// is always ORed into the segment its granules belong to.
+    ///
+    /// # Panics
+    /// Panics if a granule lies in an unmapped segment, like
+    /// [`HeapBitmap::set`].
+    pub(crate) fn set_many(&self, granules: &[u32]) {
+        let seg_granules = self.table.seg_granules();
+        let mut rest = granules;
+        while let Some(&first) = rest.first() {
+            let (s, off) = self
+                .table
+                .seg_of_granule(first as usize)
+                .expect("bit set in unmapped segment");
+            let base = first as usize - off;
+            let bm = self.bm(s);
+            let mut word = off / 64;
+            let mut mask = 0u64;
+            let mut taken = 0;
+            for &g in rest {
+                let local = (g as usize).wrapping_sub(base);
+                if local >= seg_granules {
+                    break;
+                }
+                if local / 64 != word {
+                    bm.or_word(word, mask);
+                    word = local / 64;
+                    mask = 0;
+                }
+                mask |= 1 << (local % 64);
+                taken += 1;
+            }
+            bm.or_word(word, mask);
+            rest = &rest[taken..];
+        }
+    }
+
     /// Atomically clears bit `i`; returns true if it was set. Unmapped
     /// granules were already clear.
     #[inline]

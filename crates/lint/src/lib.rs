@@ -59,6 +59,12 @@
 //!   exclusively through the scheduler API (`Session::run`), never by
 //!   hand-rolled dispatch. Associated items (`Bucket::COUNT`,
 //!   `Bucket::from_index`) are not variant-shaped and pass through.
+//! * **owned-cache-access** — calls of `OwnedCache::owned_mut`, the
+//!   lock-free accessor of a mutator's allocation cache, may appear only
+//!   in [`OWNED_CACHE_FILES`]: the owning `Mutator` (`mutator.rs`) and
+//!   the pause's retire step (`collector.rs`). Those are the two callers
+//!   its `# Safety` contract names; a call anywhere else would be a
+//!   third party racing the owner.
 //!
 //! Comments, strings (including raw and byte strings), and char
 //! literals are masked out before pattern matching, so prose and test
@@ -100,6 +106,11 @@ pub const ORDERING_ALLOWLIST: &[&str] = &[
     "tests/gc_audit.rs",
     "tests/packet_protocol.rs",
 ];
+
+/// The only files that may call `OwnedCache::owned_mut` (the
+/// `owned-cache-access` rule).
+pub const OWNED_CACHE_FILES: &[&str] =
+    &["crates/core/src/mutator.rs", "crates/core/src/collector.rs"];
 
 /// Files that must contain at least one `seqlock-read: begin`/`end`
 /// section (the span rings' speculative read windows).
@@ -636,6 +647,20 @@ pub fn lint_source(rel: &str, src: &str) -> Vec<Finding> {
                 }
             }
         }
+        // Owned-cache confinement: the accessor's `# Safety` contract
+        // names its callers, and they live in these files only.
+        if line.contains(".owned_mut(") && !OWNED_CACHE_FILES.contains(&rel) {
+            findings.push(Finding {
+                file: rel.to_string(),
+                line: lineno,
+                rule: "owned-cache-access",
+                message: "OwnedCache::owned_mut called outside its owner (mutator.rs) \
+                          and the pause's retire step (collector.rs); a mutator's \
+                          allocation cache takes no lock, so any other caller races \
+                          its owner"
+                    .to_string(),
+            });
+        }
         if contains_word(line, "unsafe") && !has_safety_note(&orig_lines, idx) {
             findings.push(Finding {
                 file: rel.to_string(),
@@ -983,6 +1008,37 @@ mod tests {
         // Prose and strings never trip the rule.
         let prose = "// match on Bucket::Straggler here would be wrong\n";
         assert!(lint_source("crates/core/src/x.rs", prose).is_empty());
+    }
+
+    #[test]
+    fn owned_cache_access_confined_to_owner_and_retire() {
+        let call = "// SAFETY: owner.\nlet c = unsafe { m.cache.owned_mut() };\n";
+        for ok in OWNED_CACHE_FILES {
+            let f = lint_source(ok, call);
+            assert!(
+                f.iter().all(|f| f.rule != "owned-cache-access"),
+                "{ok}: {f:?}"
+            );
+        }
+
+        // Any third caller races the owner: flagged, even with a SAFETY
+        // comment, and in the cell's own module too.
+        for bad in [
+            "crates/core/src/tracing.rs",
+            "crates/core/src/roots.rs",
+            "tests/x.rs",
+        ] {
+            let f = lint_source(bad, call);
+            assert_eq!(f.len(), 1, "{bad}: {f:?}");
+            assert_eq!(f[0].rule, "owned-cache-access");
+            assert_eq!(f[0].line, 2);
+        }
+
+        // The definition is not a call, and prose never trips the rule.
+        let def = "/// # Safety\n/// Owner only.\npub(crate) unsafe fn owned_mut(&self) {}\n";
+        assert!(lint_source("crates/core/src/roots.rs", def).is_empty());
+        let prose = "// never call .owned_mut( from a tracer\n";
+        assert!(lint_source("crates/core/src/tracing.rs", prose).is_empty());
     }
 
     #[test]

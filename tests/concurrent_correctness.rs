@@ -267,3 +267,109 @@ fn blocked_regions_do_not_stall_collection() {
     );
     gc.shutdown();
 }
+
+/// True if granule `g` lies in a free-list extent.
+fn is_free(gc: &Gc, g: usize) -> bool {
+    gc.heap()
+        .free_list()
+        .extents_sorted()
+        .iter()
+        .any(|e| e.start <= g && g < e.end())
+}
+
+/// Allocation caches take no lock: the owner bump-allocates, and the
+/// pause retires a cache from the coordinator's thread only once the
+/// world is stopped. Mutator A allocates objects its roots hold but its
+/// cache has not published, then parks in `blocked()`; mutator B runs a
+/// collection. The pause must publish A's objects (they survive), put
+/// A's cache tail back on the free list, and leave a heap the auditor
+/// accepts; A then allocates normally. A mutator that drops with
+/// pending objects publishes them itself on deregistration.
+#[test]
+fn pause_retires_a_parked_mutators_cache() {
+    let gc = Gc::new(config(8));
+    let shape = ObjectShape::new(1, 2, 7);
+    std::thread::scope(|s| {
+        // Channels live in this closure, so a failed assertion below
+        // drops `resume_tx` and unparks A instead of hanging the scope.
+        let (parked_tx, parked_rx) = std::sync::mpsc::channel();
+        let (resume_tx, resume_rx) = std::sync::mpsc::channel::<()>();
+        let gc = &gc;
+        let a = s.spawn(move || {
+            let mut m = gc.register_mutator();
+            let objs: Vec<ObjectRef> = (0..8u64)
+                .map(|i| {
+                    let o = m.alloc(shape).unwrap();
+                    m.write_data(o, 0, 100 + i);
+                    m.root_push(Some(o));
+                    o
+                })
+                .collect();
+            for &o in &objs {
+                assert!(!gc.heap().is_published(o), "{o:?} still pending");
+            }
+            m.blocked(|| {
+                parked_tx.send(objs.clone()).unwrap();
+                resume_rx.recv().unwrap();
+            });
+            // Unparked: the retired cache refills like a fresh one,
+            // several times over, and the old objects are intact.
+            let mut prev = None;
+            for _ in 0..5_000 {
+                let o = m.alloc(shape).unwrap();
+                m.write_ref(o, 0, prev);
+                prev = Some(o);
+            }
+            m.root_push(prev);
+            for (i, &o) in objs.iter().enumerate() {
+                assert_eq!(m.read_data(o, 0), 100 + i as u64);
+            }
+            m.collect();
+            let mut len = 0;
+            let mut cur = prev;
+            while let Some(c) = cur {
+                len += 1;
+                cur = m.read_ref(c, 0);
+            }
+            assert_eq!(len, 5_000, "chain allocated after unparking survives");
+        });
+
+        let objs = parked_rx.recv().unwrap();
+        let tail = objs.last().unwrap().index() + shape.granules();
+        assert!(!is_free(gc, tail), "A's cache still owns its tail");
+        let published_before = gc.heap().objects_allocated();
+        let mut b = gc.register_mutator();
+        b.collect();
+        assert_eq!(
+            gc.heap().objects_allocated(),
+            published_before + objs.len() as u64,
+            "the retire folded A's pending objects into the totals"
+        );
+        for (i, &o) in objs.iter().enumerate() {
+            assert!(gc.heap().is_published(o), "{o:?} published and live");
+            assert_eq!(b.read_data(o, 0), 100 + i as u64);
+        }
+        assert!(is_free(gc, tail), "A's cache tail is back on the free list");
+        gc.audit_now();
+        drop(b);
+        resume_tx.send(()).unwrap();
+        a.join().unwrap();
+    });
+
+    // Deregistration publishes: C's objects are pending until it drops.
+    let mut c = gc.register_mutator();
+    let held: Vec<ObjectRef> = (0..5)
+        .map(|_| {
+            let o = c.alloc(shape).unwrap();
+            gc.global_root_push(Some(o));
+            o
+        })
+        .collect();
+    assert!(held.iter().all(|&o| !gc.heap().is_published(o)));
+    drop(c);
+    assert!(held.iter().all(|&o| gc.heap().is_published(o)));
+    gc.register_mutator().collect();
+    assert!(held.iter().all(|&o| gc.heap().is_published(o)), "survive");
+    gc.audit_now();
+    gc.shutdown();
+}

@@ -6,20 +6,71 @@
 
 use std::time::Duration;
 
-use mcgc::workloads::jbb::{run_standalone, JbbOptions};
+use mcgc::telemetry::{Span, SpanKind};
+use mcgc::workloads::jbb::{self, run_standalone, JbbOptions};
 use mcgc::workloads::RunReport;
-use mcgc::{CollectorMode, GcConfig, SweepMode, Trigger};
+use mcgc::{CollectorMode, Gc, GcConfig, SweepMode, Trigger};
 
 const HEAP: usize = 32 << 20;
 
-fn run(mode: CollectorMode, tweak: impl Fn(&mut GcConfig)) -> RunReport {
+fn setup(mode: CollectorMode, tweak: impl Fn(&mut GcConfig)) -> (GcConfig, JbbOptions) {
     let mut cfg = GcConfig::with_heap_bytes(HEAP);
     cfg.mode = mode;
     cfg.background_threads = 2;
     tweak(&mut cfg);
     let mut opts = JbbOptions::sized_for(HEAP, 2, 0.6);
     opts.duration = Duration::from_millis(1500);
+    (cfg, opts)
+}
+
+fn run(mode: CollectorMode, tweak: impl Fn(&mut GcConfig)) -> RunReport {
+    let (cfg, opts) = setup(mode, tweak);
     run_standalone(cfg, &opts)
+}
+
+/// Every kind of span that sweeps one chunk: in the pause, or lazily
+/// (straggler fence and escalation, refill, background sweeper).
+const CHUNK_KINDS: [SpanKind; 4] = [
+    SpanKind::SweepChunk,
+    SpanKind::LazySweepChunk,
+    SpanKind::RefillSweepChunk,
+    SpanKind::BgSweepChunk,
+];
+
+/// Runs [`run`]'s workload on a collector kept for its flight recorder.
+/// Returns the report, the number of sweep-chunk spans (any track) that
+/// overlap each retained `gc.pause` span, and the chunk spans retained
+/// in all.
+fn run_counting_chunks_in_pauses(
+    mode: CollectorMode,
+    tweak: impl Fn(&mut GcConfig),
+) -> (RunReport, Vec<usize>, usize) {
+    let (cfg, opts) = setup(mode, tweak);
+    let gc = Gc::new(cfg);
+    let report = jbb::run(&gc, &opts);
+    gc.shutdown();
+    let spans: Vec<Span> = gc
+        .telemetry()
+        .spans()
+        .all_spans()
+        .into_iter()
+        .map(|(_, s)| s)
+        .collect();
+    let chunks: Vec<&Span> = spans
+        .iter()
+        .filter(|s| CHUNK_KINDS.contains(&s.kind))
+        .collect();
+    let per_pause = spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Pause)
+        .map(|p| {
+            chunks
+                .iter()
+                .filter(|c| c.begin_ns < p.end_ns && p.begin_ns < c.end_ns)
+                .count()
+        })
+        .collect();
+    (report, per_pause, chunks.len())
 }
 
 #[test]
@@ -122,7 +173,8 @@ fn lazy_sweep_removes_sweep_from_pause() {
 
 #[test]
 fn lazy_cgc_pause_has_no_bulk_sweep_phase() {
-    let lazy = run(CollectorMode::Concurrent, |c| c.sweep = SweepMode::Lazy);
+    let (lazy, lazy_pauses, lazy_chunks) =
+        run_counting_chunks_in_pauses(CollectorMode::Concurrent, |c| c.sweep = SweepMode::Lazy);
     assert!(lazy.log.cycles.len() >= 3, "{}", lazy.log.cycles.len());
     let total_chunks: u64 = (HEAP / 8) as u64 / GcConfig::default().sweep_chunk_granules as u64;
     for c in &lazy.log.cycles {
@@ -134,12 +186,6 @@ fn lazy_cgc_pause_has_no_bulk_sweep_phase() {
             "cycle {}: modelled sweep in pause",
             c.cycle
         );
-        assert!(
-            c.sweep_wall < Duration::from_millis(2),
-            "cycle {}: sweep step took {:?} — that's a bulk sweep, not a plan install",
-            c.cycle,
-            c.sweep_wall
-        );
         // The straggler fence is bounded and counted: it can never have
         // more chunks than the heap holds, and it runs pre-pause (its
         // wall time is reported separately, not inside pause_wall).
@@ -150,33 +196,29 @@ fn lazy_cgc_pause_has_no_bulk_sweep_phase() {
             c.straggler_chunks
         );
     }
-    // With the bulk sweep off the pause path, the measured pause is just
-    // cards + roots + drain + bookkeeping: sub-millisecond on this bench
-    // heap shape (the eager sweep alone used to cost several ms here).
-    // Wall-clock, so only meaningful in optimized builds — debug builds
-    // inflate every phase ~20x and would assert nothing about the shape.
-    // The sub-millisecond bar additionally needs real parallelism: on a
-    // 1-2 core host the scheduler's pause workers, both background
-    // threads, and the mutators timeshare the same CPU, so every phase
-    // eats scheduler noise; there the bound is relaxed (but still far
-    // below the several ms an in-pause bulk sweep costs on the same
-    // host).
-    if cfg!(not(debug_assertions)) {
-        let steady: Vec<f64> = lazy
-            .log
-            .cycles
-            .iter()
-            .skip((lazy.log.cycles.len() / 4).min(4)) // warm-up: heap still growing
-            .map(|c| c.pause_wall.as_secs_f64() * 1e3)
-            .collect();
-        let avg_wall_ms = steady.iter().sum::<f64>() / steady.len() as f64;
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let bound_ms = if cores >= 4 { 1.0 } else { 3.0 };
-        assert!(
-            avg_wall_ms < bound_ms,
-            "avg measured cgc pause: {avg_wall_ms:.2} ms (bound {bound_ms} ms on {cores} cores)"
-        );
-    }
+    // With the bulk sweep off the pause path, the pause is just cards +
+    // roots + drain + bookkeeping: no chunk is swept, by anyone, while a
+    // lazy pause runs. The flight recorder decides it, not a wall-clock
+    // bound, so the check holds on a loaded or small host. Chunks were
+    // swept (off-pause), so the check is not vacuous.
+    assert!(
+        lazy_pauses.len() >= 3,
+        "{} pauses retained",
+        lazy_pauses.len()
+    );
+    assert!(lazy_chunks > 0, "lazy sweeping recorded no chunk spans");
+    assert!(
+        lazy_pauses.iter().all(|&n| n == 0),
+        "sweep-chunk spans inside lazy pauses: {lazy_pauses:?}"
+    );
+    // Positive control: the same check sees an eager run's in-pause
+    // sweep.
+    let (_, eager_pauses, _) =
+        run_counting_chunks_in_pauses(CollectorMode::Concurrent, |c| c.sweep = SweepMode::Eager);
+    assert!(
+        eager_pauses.iter().any(|&n| n > 0),
+        "no sweep-chunk span inside any eager pause: {eager_pauses:?}"
+    );
 }
 
 #[test]
