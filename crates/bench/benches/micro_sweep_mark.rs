@@ -7,23 +7,27 @@
 use std::time::Instant;
 
 use mcgc_core::{CollectorMode, Gc, GcConfig};
-use mcgc_heap::{sweep_parallel, sweep_serial, AllocCache, Heap, HeapConfig, ObjectShape};
+use mcgc_heap::{sweep_serial, AllocCache, Heap, HeapConfig, ObjectShape, SweepEpoch, SweepSource};
 
 /// Times `iters` runs of `setup` + `f` and prints the mean of `f` alone
-/// (setup cost excluded), as ns/iter and MB/s over `bytes`.
+/// (setup and the input's teardown excluded), as ns/iter and MB/s over
+/// `bytes`.
 fn bench_batched<T>(
     name: &str,
     iters: u64,
     bytes: u64,
     mut setup: impl FnMut() -> T,
-    f: impl Fn(T),
+    f: impl Fn(&T),
 ) {
     let mut total_ns = 0u128;
     for _ in 0..iters {
         let input = setup();
         let start = Instant::now();
-        f(input);
+        f(&input);
         total_ns += start.elapsed().as_nanos();
+        // Freeing a 16 MB heap takes from ~0 to ~2 ms, depending on the
+        // state earlier arms left the allocator in: off the clock.
+        drop(input);
     }
     let per_iter = total_ns as f64 / iters as f64;
     if bytes > 0 {
@@ -80,7 +84,7 @@ fn sweep_throughput() {
             heap_bytes as u64,
             || build_heap(heap_bytes, live_every),
             |heap| {
-                std::hint::black_box(sweep_serial(&heap, 16 << 10));
+                std::hint::black_box(sweep_serial(heap, 16 << 10));
             },
         );
         bench_batched(
@@ -89,7 +93,16 @@ fn sweep_throughput() {
             heap_bytes as u64,
             || build_heap(heap_bytes, live_every),
             |heap| {
-                std::hint::black_box(sweep_parallel(&heap, 16 << 10, 2));
+                // Two threads (the caller and one more) drain one epoch,
+                // then settle and retire it as the eager pause's leader
+                // and worker do.
+                let epoch = SweepEpoch::new(heap, 16 << 10);
+                std::thread::scope(|s| {
+                    s.spawn(|| epoch.drain(heap, SweepSource::Pause));
+                    epoch.drain(heap, SweepSource::Pause);
+                });
+                heap.settle_drained_epoch(&epoch);
+                std::hint::black_box(heap.retire_epoch(&epoch));
             },
         );
     }

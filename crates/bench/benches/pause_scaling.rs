@@ -18,9 +18,9 @@
 //! measuring it.
 //!
 //! What the worker axis isolates: every pause phase — final card
-//! cleaning, root rescanning, packet drain, (eager) sweep, bitmap
-//! pre-clear — is a prioritized work bucket served by the *persistent*
-//! scheduler pool, claimed from atomic cursors. `stw_workers = 1` runs
+//! cleaning, root rescanning, packet drain, (eager) sweep — is a
+//! prioritized work bucket served by the *persistent* scheduler pool,
+//! claimed from atomic cursors. `stw_workers = 1` runs
 //! every bucket inline on the leader; higher counts split the same
 //! cursors across the resident workers with **one condvar wakeup per
 //! pause** (the session open) and no `thread::spawn` or per-phase

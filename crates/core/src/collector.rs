@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mcgc_heap::{Heap, LazySweep, ObjectRef, ParallelSweep, SweepSource};
+use mcgc_heap::{Heap, ObjectRef, SweepEpoch, SweepSource};
 use mcgc_membar::sync::{Condvar, Mutex};
 use mcgc_packets::{PacketPool, WorkBuffer};
 use mcgc_telemetry::{SpanGuard, SpanKind, TrackId};
@@ -252,12 +252,6 @@ pub struct Gc {
     timeline: Mutex<Timeline>,
     pub(crate) bg_window: Mutex<BgWindow>,
 
-    /// Set when the mark bits were pre-cleared before the next cycle:
-    /// by an eager pause, or by retiring a finished sweep epoch. Written
-    /// and consumed under the coordinator lock. The sweep-epoch plan
-    /// itself lives on the heap ([`Heap::install_lazy_plan`]) so refill
-    /// paths reach it without a collector dependency.
-    bits_pre_cleared: AtomicBool,
     /// Straggler-fence accounting accumulated since the last pause: the
     /// fence runs *before* the world stops (kickoff or pre-pause), so its
     /// cost is stashed here and absorbed into the next `CycleStats`.
@@ -334,7 +328,6 @@ impl Gc {
                 bg_traced: 0,
                 allocated: 0,
             }),
-            bits_pre_cleared: AtomicBool::new(false),
             straggler_ns: AtomicU64::new(0),
             straggler_chunks: AtomicU64::new(0),
             log: Mutex::new(GcLog::default()),
@@ -789,24 +782,23 @@ impl Gc {
         self.heap.free_bytes() as u64 + pending as u64
     }
 
-    /// Initializes a new cycle (§2.1): clears the card table and mark
-    /// bits, resets work state, wakes the background threads (they poll).
-    /// Caller holds the coordinator lock; phase is Idle.
+    /// Initializes a new cycle (§2.1): clears the card table, resets work
+    /// state, wakes the background threads (they poll). Caller holds the
+    /// coordinator lock; phase is Idle.
     ///
-    /// When the previous pause already pre-cleared the bit vectors (eager
-    /// sweep does this while the world is still stopped), initialization
-    /// is near-instant — important because mutators keep allocating while
-    /// this runs, and a slow init would eat the kickoff headroom.
+    /// The mark bits are already clear (§2.1 "the card table is cleared,
+    /// the mark bits are cleared"): the previous cycle's sweep epoch was
+    /// retired first — in its own pause when eager, by the straggler
+    /// fence every cycle start runs when lazy — and retirement clears
+    /// them. So initialization is near-instant, which matters because
+    /// mutators keep allocating while this runs and a slow init would
+    /// eat the kickoff headroom.
     fn begin_cycle_locked(&self, kickoff: bool) {
         debug_assert!(!self.in_concurrent_phase());
-        if self.bits_pre_cleared.swap(false, Ordering::AcqRel) {
-            // Mark bits were pre-cleared at the previous pause; dropping
-            // the (small) card table is all that is left (§2.1 "the card
-            // table is cleared, the mark bits are cleared").
-            self.heap.cards().clear_all();
-        } else {
-            self.heap.begin_cycle();
-        }
+        // verify-gc: retirement left no mark behind.
+        #[cfg(feature = "verify-gc")]
+        Self::audit_report("cycle-start", mcgc_heap::verify_marks_clear(&self.heap));
+        self.heap.cards().clear_all();
         self.counters.reset();
         self.card_state.lock().reset();
         *self.increments.lock() = IncrementAccum::default();
@@ -897,9 +889,10 @@ impl Gc {
         self.resume_world();
     }
 
-    /// The sweep epoch's **completion fence**: drives any chunks the
+    /// The lazy sweep epoch's **completion fence**: drives any chunks the
     /// previous cycle's refill and background sweeping left unswept
-    /// (the *stragglers*) to completion before mark bits are recycled.
+    /// (the *stragglers*) to completion, then retires the epoch, before
+    /// mark bits are recycled.
     /// Runs as a scheduler session of its own, *before* the world stops
     /// (called at kickoff and pre-pause under the coordinator lock), so
     /// the measured pause itself contains no bulk sweep — only this
@@ -914,14 +907,7 @@ impl Gc {
         if before > 0 {
             let session = self.sched.open_session();
             session.run(Bucket::Straggler, |w| {
-                let mut swept = 0;
-                while plan
-                    .sweep_one_from(&self.heap, SweepSource::Straggler)
-                    .is_some()
-                {
-                    swept += 1;
-                }
-                self.sched.add_claimed(w, swept);
+                self.drain_epoch(w, &plan, SweepSource::Straggler)
             });
         }
         // Chunks claimed by a concurrent refill (or a stalled background
@@ -1007,6 +993,16 @@ impl Gc {
         progressed
     }
 
+    /// One worker's share of draining `epoch` in a scheduler bucket:
+    /// claims and sweeps chunks on behalf of `source` until none is left
+    /// unclaimed. The eager pause runs it in its `Sweep` bucket and the
+    /// straggler fence in its `Straggler` bucket; the two differ only in
+    /// bucket and source.
+    fn drain_epoch(&self, worker: usize, epoch: &SweepEpoch, source: SweepSource) {
+        let swept = epoch.drain(&self.heap, source);
+        self.sched.add_claimed(worker, swept as u64);
+    }
+
     /// [`Gc::retire_lazy_plan`] for a sweeping thread that does not hold
     /// the coordinator lock. Takes the lock without blocking; when some
     /// thread already holds it (possibly this one), the finished plan
@@ -1018,19 +1014,22 @@ impl Gc {
         }
     }
 
-    /// Clears a completed lazy-sweep plan and pre-clears the mark bits —
-    /// they are dead weight once every chunk is swept, and clearing them
-    /// now (instead of at the next kickoff) keeps cycle initialization
-    /// instant, as the eager path's in-pause pre-clearing does.
+    /// Retires a drained lazy epoch ([`Heap::retire_epoch`]: dark bytes
+    /// set, mark bits cleared) and logs its live totals into the cycle
+    /// that marked it. That is always the last logged cycle: every cycle
+    /// start first drains and retires the previous epoch.
     ///
     /// Caller holds the coordinator lock, which every cycle start also
     /// holds: otherwise a kickoff that finds the plan already taken could
-    /// start marking while this clear still runs, and the clear would
+    /// start marking while the clear still runs, and the clear would
     /// wipe the new cycle's marks.
     fn retire_lazy_plan(&self) {
-        if self.heap.take_lazy_plan_if_done().is_some() {
-            self.heap.mark_bits().clear_all();
-            self.bits_pre_cleared.store(true, Ordering::Release);
+        if let Some(plan) = self.heap.take_lazy_plan_if_done() {
+            let swept = self.heap.retire_epoch(&plan);
+            if let Some(cycle) = self.log.lock().cycles.last_mut() {
+                cycle.live_after_objects = swept.live_objects as u64;
+                cycle.live_after_bytes = (swept.live_granules * mcgc_heap::GRANULE_BYTES) as u64;
+            }
             self.tel.on_lazy_retired();
         }
     }
@@ -1048,6 +1047,9 @@ impl Gc {
         } else {
             trigger
         };
+        // The sweep mode decides only when this cycle's sweep epoch
+        // drains: here, in the pause, or off-pause after it.
+        let drain_now = self.config.sweep == SweepMode::Eager;
         let spans = self.tel.hub.spans();
         if fresh {
             // A fresh pause initializes its cycle further down; stamp the
@@ -1073,17 +1075,17 @@ impl Gc {
         }
         retire.set_arg(mutators.len() as u64);
 
-        // Occupancy-driven shrink, lazy-sweep variant. Eager sweep
-        // releases empty grown segments inline while rebuilding the free
-        // list; the lazy path accumulates freed extents incrementally
-        // and this pause is its first stop-the-world point where
-        // "entirely free" is stable. The release itself is epoch-aware:
+        // Occupancy-driven shrink after an off-pause drain. An eager
+        // pause releases empty grown segments when it settles its free
+        // list below; a lazily drained epoch freed its extents
+        // incrementally, and this pause is the first stop-the-world point
+        // where "entirely free" is stable. The release is epoch-aware:
         // should a pause ever fire with a plan still in flight, segments
         // with unswept chunks are not "empty" yet (their dead memory has
         // not reached the free list) and are skipped by the heap's
         // `range_fully_swept` guard.
-        if self.config.sweep == SweepMode::Lazy {
-            self.heap.release_empty_free_segments();
+        if !drain_now {
+            self.heap.release_empty_segments();
         }
 
         // Open the pause's work-bucket session: the one wakeup the
@@ -1183,71 +1185,44 @@ impl Gc {
         #[cfg(feature = "verify-gc")]
         self.audit_strict("post-drain");
 
-        // 5. Sweep. The eager path drives [`ParallelSweep`] as a
-        //    scheduler bucket: workers claim chunk ranges off its atomic
-        //    cursor and the leader folds the results.
-        let sweep = self.coord_span(SpanKind::PauseSweep, 0);
-        let chunk = self.config.sweep_chunk_granules;
-        let (live_objects, live_granules, sweep_chunks, lazy_planned) = match self.config.sweep {
-            SweepMode::Eager => {
-                let ps = ParallelSweep::new(&self.heap, chunk)
-                    .with_recorder(Arc::clone(self.tel.hub.spans()));
-                session.run(Bucket::Sweep, |w| {
-                    let swept = ps.worker(&self.heap);
-                    self.sched.add_claimed(w, swept);
-                });
-                let s = ps.finish(&self.heap);
-                (
-                    s.live_objects as u64,
-                    s.live_granules as u64,
-                    s.chunks as u64,
-                    false,
-                )
-            }
-            SweepMode::Lazy => {
-                // Publish the sweep epoch: a snapshot of mapped segment
-                // ranges plus per-chunk claim states. No sweeping happens
-                // here — reclamation is paid off-pause by sweep-on-refill
-                // and the background sweeper; the *next* cycle's fence
-                // only finishes stragglers.
-                // Live-object count deferred with the rest of the epoch's
-                // bitmap accounting: a popcount over the mark bitmap
-                // costs more than the entire install, and the first
-                // off-pause kickoff-headroom check computes it anyway
-                // (mark bits are stable until the plan retires). Lazy
-                // cycles report 0 live objects; `live_after_bytes` below
-                // still carries the traced estimate.
-                self.heap.install_lazy_plan(Arc::new(
-                    LazySweep::new(&self.heap, chunk)
-                        .with_recorder(Arc::clone(self.tel.hub.spans())),
-                ));
-                (0, 0, 0, true)
-            }
+        // 5. Sweep: plan the sweep epoch over this cycle's marks. Eager
+        //    sweep drains it right here as a scheduler bucket, holding
+        //    each chunk's extents, then settles the free list once, with
+        //    the world stopped: the held extents in address order, less
+        //    any empty segment released, rebuilt (coalescing the splits
+        //    at chunk edges). Lazy sweep publishes the epoch instead:
+        //    reclamation is paid off-pause by sweep-on-refill and the
+        //    background sweeper, and the *next* cycle's fence only
+        //    finishes stragglers.
+        let sweep = self.coord_span(SpanKind::PauseSweep, u64::from(!drain_now));
+        let epoch = SweepEpoch::new(&self.heap, self.config.sweep_chunk_granules)
+            .with_recorder(Arc::clone(self.tel.hub.spans()));
+        let drained = if drain_now {
+            session.run(Bucket::Sweep, |w| {
+                self.drain_epoch(w, &epoch, SweepSource::Pause)
+            });
+            self.heap.settle_drained_epoch(&epoch);
+            Some(epoch)
+        } else {
+            self.heap.install_lazy_plan(Arc::new(epoch));
+            None
         };
         let sweep_wall = sweep.finish();
 
-        // verify-gc: after an eager sweep the rebuilt free list must
-        // agree with the bitmaps (lazy sweeping checks per-chunk).
+        // verify-gc: the settled free list must agree with the bitmaps
+        // while the marks are still there (lazy sweeping checks per
+        // chunk).
         #[cfg(feature = "verify-gc")]
-        if !lazy_planned {
+        if drained.is_some() {
             self.audit_strict("post-sweep");
         }
 
-        // 6. End-of-pause mark-bit pre-clear. Eager sweep leaves the mark
-        //    bits dead weight: pre-clear them now, while the world is
-        //    still stopped, so the next cycle's initialization is
-        //    near-instant (clearing megabytes of bitmap at kickoff would
-        //    let mutators race through the remaining headroom on a busy
-        //    machine). The clear runs as word-range stripes in a bucket.
-        //    The card table is NOT pre-cleared: it keeps recording
-        //    pre-concurrent stores, and is dropped at kickoff as the
-        //    paper's initialization does. Lazy sweep still needs the mark
-        //    bits, so it cannot pre-clear.
+        // 6. Retire a drained epoch: its chunk sums give the cycle's live
+        //    and dark totals, and the mark bits are cleared, so the next
+        //    cycle starts with none set. A lazy epoch retires off-pause,
+        //    once drained, and logs its live totals then.
         let clear = self.coord_span(SpanKind::PauseClear, 0);
-        if !lazy_planned && self.config.mode == CollectorMode::Concurrent {
-            self.sched_clear_mark_bits(&session);
-            self.bits_pre_cleared.store(true, Ordering::Release);
-        }
+        let swept = drained.map_or_else(Default::default, |e| self.heap.retire_epoch(&e));
         let clear_wall = clear.finish();
         // Last bucket drained: close the session so the workers park
         // (the accounting below is leader-only).
@@ -1259,22 +1234,11 @@ impl Gc {
         let card_single_ms = stw_clean_work + extra_clean_ms;
         let root_single_ms = cost.roots_ms(root_slots);
         let trace_single_ms = cost.trace_ms(stw_traced);
-        let sweep_single_ms = if lazy_planned {
-            0.0
-        } else {
-            cost.sweep_ms(live_objects, sweep_chunks)
-        };
+        let sweep_single_ms = cost.sweep_ms(swept.live_objects as u64, swept.chunks as u64);
         let workers = cost.workers.max(1) as f64;
         let overhead_ms = cost.pause_overhead_ns / 1e6;
         let mark_ms = (card_single_ms + root_single_ms + trace_single_ms) / workers;
         let sweep_ms = sweep_single_ms / workers;
-
-        let live_after_bytes = if lazy_planned {
-            // Approximate: every marked object is scanned exactly once.
-            self.counters.traced_concurrent() + self.counters.traced_stw.load(Ordering::Relaxed)
-        } else {
-            live_granules * mcgc_heap::GRANULE_BYTES as u64
-        };
 
         let pause_begin_ns = pause.begin_ns();
         let pause_wall = pause.elapsed();
@@ -1332,8 +1296,8 @@ impl Gc {
             cards_left,
             handshakes: c.handshakes.load(Ordering::Relaxed),
             free_at_stw_start,
-            live_after_bytes,
-            live_after_objects: live_objects,
+            live_after_bytes: (swept.live_granules * mcgc_heap::GRANULE_BYTES) as u64,
+            live_after_objects: swept.live_objects as u64,
             free_after_bytes: self.heap.free_bytes() as u64,
             occupancy_after: self.heap.occupancy(),
             increments: incr.n,
@@ -1520,29 +1484,6 @@ impl Gc {
         });
     }
 
-    /// End-of-pause mark-bit pre-clear as disjoint word-range stripes
-    /// across the scheduler workers. ([`Gc::retire_lazy_plan`] keeps the
-    /// serial `clear_all`: it runs outside the pause, where no session
-    /// is open.)
-    fn sched_clear_mark_bits(&self, session: &Session<'_>) {
-        const STRIPE_WORDS: usize = 1 << 12;
-        let marks = self.heap.mark_bits();
-        let words = marks.word_len();
-        let cursor = AtomicUsize::new(0);
-        session.run(Bucket::ClearBits, |w| {
-            let mut claims = 0u64;
-            loop {
-                let start = cursor.fetch_add(STRIPE_WORDS, Ordering::Relaxed);
-                if start >= words {
-                    break;
-                }
-                claims += 1;
-                marks.clear_words(start, (start + STRIPE_WORDS).min(words));
-            }
-            self.sched.add_claimed(w, claims);
-        });
-    }
-
     /// §2.2 final card cleaning: drains the concurrent registry and
     /// freshly dirty cards as a bucket. Returns `(cards_left, ms)` where
     /// `ms` is the single-worker modelled cost and `cards_left` is
@@ -1679,7 +1620,7 @@ mod tests {
     /// A sweeper that finishes an epoch while another thread holds the
     /// coordinator lock leaves the plan and the mark bits alone: that
     /// holder may be starting the next cycle's marking. Once the lock is
-    /// free, the same call retires the epoch and pre-clears the bits.
+    /// free, the same call retires the epoch, which clears the bits.
     #[test]
     fn epoch_retirement_waits_for_the_coordinator() {
         let mut cfg = GcConfig::with_heap_bytes(4 << 20);
@@ -1701,12 +1642,10 @@ mod tests {
             });
             assert!(gc.heap.lazy_plan_active(), "epoch retired under the lock");
             assert!(gc.heap.is_marked(keep), "marks cleared under the lock");
-            assert!(!gc.bits_pre_cleared.load(Ordering::Acquire));
         }
         gc.sweep_some_lazy();
         assert!(!gc.heap.lazy_plan_active(), "epoch retired once free");
         assert!(!gc.heap.is_marked(keep));
-        assert!(gc.bits_pre_cleared.load(Ordering::Acquire));
         drop(m);
         gc.shutdown();
     }

@@ -25,14 +25,15 @@
 //!   issues exactly **one** `notify_all`; that is the only wakeup the
 //!   entire pause pays.
 //! - Each phase publishes one **bucket** ([`Session::run`]) — final
-//!   card cleaning, root rescanning, packet drain, sweep, straggler
-//!   chunks, bitmap clears. Publishing bumps a sequence number under
-//!   the state mutex and does **not** notify: workers that the session
-//!   wakeup engaged stay resident, claiming each new bucket the moment
-//!   it appears, so a fast worker flows from root rescan straight into
-//!   the packet drain with no condvar round-trip. Work *within* a
-//!   bucket is claimed from atomic cursors by the closures themselves
-//!   (load balancing identical to the packet pool's).
+//!   card cleaning, root rescanning, packet drain, the sweep epoch's
+//!   chunks (in the pause, or in the straggler fence). Publishing bumps
+//!   a sequence number under the state mutex and does **not** notify:
+//!   workers that the session wakeup engaged stay resident, claiming
+//!   each new bucket the moment it appears, so a fast worker flows from
+//!   root rescan straight into the packet drain with no condvar
+//!   round-trip. Work *within* a bucket is claimed from atomic cursors
+//!   by the closures themselves (load balancing identical to the packet
+//!   pool's).
 //! - A bucket **drains** (its successor may open) when its closure has
 //!   returned on the leader and `executing == 0` — no worker is still
 //!   inside it. The leader waits for that with a bounded spin-yield,
@@ -95,19 +96,17 @@ pub(crate) enum Bucket {
     Roots,
     /// Packet drain to mark completion (§2.2, §4).
     Drain,
-    /// Eager bitwise sweep (§2.2).
+    /// Eager bitwise sweep (§2.2): the pause drains its sweep epoch.
     Sweep,
     /// Watchdog recovery: flood marked objects' cards.
     Flood,
-    /// End-of-pause mark-bit pre-clear.
-    ClearBits,
     /// Pre-pause straggler fence: drain the previous sweep epoch's
     /// unswept chunks so the pause itself contains no bulk sweep.
     Straggler,
 }
 
 impl Bucket {
-    pub(crate) const COUNT: usize = 7;
+    pub(crate) const COUNT: usize = 6;
 
     pub(crate) fn index(self) -> usize {
         match self {
@@ -116,8 +115,7 @@ impl Bucket {
             Bucket::Drain => 2,
             Bucket::Sweep => 3,
             Bucket::Flood => 4,
-            Bucket::ClearBits => 5,
-            Bucket::Straggler => 6,
+            Bucket::Straggler => 5,
         }
     }
 
@@ -129,7 +127,6 @@ impl Bucket {
             Bucket::Drain => "drain",
             Bucket::Sweep => "sweep",
             Bucket::Flood => "flood",
-            Bucket::ClearBits => "clear_bits",
             Bucket::Straggler => "straggler",
         }
     }
@@ -141,7 +138,6 @@ impl Bucket {
             2 => Bucket::Drain,
             3 => Bucket::Sweep,
             4 => Bucket::Flood,
-            5 => Bucket::ClearBits,
             _ => Bucket::Straggler,
         }
     }

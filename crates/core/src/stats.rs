@@ -87,9 +87,11 @@ pub struct CycleStats {
     /// Wall time of the parallel packet drain (excluding re-clean
     /// passes, which are accounted to `cards_wall`).
     pub drain_wall: Duration,
-    /// Wall time of the sweep phase (eager sweep, or lazy-plan setup).
+    /// Wall time of the sweep phase: planning the sweep epoch, plus, for
+    /// eager sweep, draining it and settling the free list.
     pub sweep_wall: Duration,
-    /// Wall time of the end-of-pause mark-bit pre-clear.
+    /// Wall time of retiring the drained sweep epoch, which clears the
+    /// mark bits (eager sweep; a lazy epoch retires off-pause).
     pub clear_wall: Duration,
     /// Wall time of the previous sweep epoch's straggler fence (lazy
     /// sweep). The fence runs *before* this cycle's world-stop, so it is

@@ -83,7 +83,7 @@ impl Bitmap {
     }
 
     /// Number of 64-bit words backing the map (the unit of
-    /// [`Bitmap::load_word`] / [`Bitmap::clear_words`] striping).
+    /// [`Bitmap::load_word`]).
     #[inline]
     pub fn word_len(&self) -> usize {
         self.words.len()
@@ -95,17 +95,6 @@ impl Bitmap {
     #[inline]
     pub fn load_word(&self, w: usize) -> u64 {
         self.words[w].load(Ordering::Relaxed)
-    }
-
-    /// Zeroes whole backing words `[start_word, end_word)`. Together
-    /// with [`Bitmap::word_len`] this is the parallel form of
-    /// [`Bitmap::clear_all`]: workers clear disjoint word ranges, so the
-    /// plain stores never race. Same safepoint contract as `clear_all`.
-    pub fn clear_words(&self, start_word: usize, end_word: usize) {
-        assert!(start_word <= end_word && end_word <= self.words.len());
-        for w in &self.words[start_word..end_word] {
-            w.store(0, Ordering::Relaxed);
-        }
     }
 
     /// Atomically ANDs backing word `w` with `keep`: bits clear in
@@ -274,10 +263,7 @@ mod tests {
         assert_eq!(b.load_word(0), 1 << 63, "bits clear in `keep` cleared");
         b.or_word(0, 0b110);
         assert_eq!(b.load_word(0), (1 << 63) | 0b110, "set bits kept");
-        b.clear_words(0, 1);
-        assert_eq!(b.load_word(0), 0);
-        assert!(b.get(64) && b.get(199), "other words untouched");
-        b.clear_words(1, 4);
+        b.clear_all();
         assert_eq!(b.count(), 0);
     }
 

@@ -5,8 +5,8 @@
 //! reserved segments behind [`crate::segment::SegmentTable`]: the heap
 //! can grow past its initial size up to [`HeapConfig::max_heap_bytes`]
 //! ([`Heap::try_grow`], the escalation ladder's rung before OOM) and
-//! return entirely-free segments after a trough (the parallel sweep's
-//! finish step calls [`Heap::release_empty_segments`]).
+//! return entirely-free segments after a trough
+//! ([`Heap::release_empty_segments`], at a pause).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +18,7 @@ use crate::freelist::Extent;
 use crate::object::{Header, ObjectRef, GRANULE_BYTES, MAX_OBJECT_GRANULES};
 use crate::segment::{BitKind, HeapBitmap, HeapCards, SegmentTable, SEGMENT_ALIGN_GRANULES};
 use crate::shards::{AllocShardStats, ShardedFreeList};
-use crate::sweep::{LazySweep, SweepSource};
+use crate::sweep::{SweepEpoch, SweepSource, SweepStats};
 
 /// Heap sizing and allocation parameters.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -280,12 +280,15 @@ pub struct Heap {
     free: ShardedFreeList,
     bytes_allocated: AtomicU64,
     objects_allocated: AtomicU64,
-    /// Granules lost to sub-minimum free runs in the last sweep.
+    /// Granules lost to sub-minimum free runs in the last retired sweep
+    /// epoch.
     dark_granules: AtomicU64,
-    /// The active sweep epoch, if any: installed by the collector at
-    /// pause end, drained off-pause by refills / the background sweeper /
-    /// the escalation ladder, and retired once every chunk is done.
-    lazy: Mutex<Option<Arc<LazySweep>>>,
+    /// The lazy sweep epoch in flight, if any: installed by the collector
+    /// at pause end, drained off-pause by refills / the background
+    /// sweeper / the escalation ladder, and retired once every chunk is
+    /// done. (An eager pause drains its epoch itself and never installs
+    /// it.)
+    lazy: Mutex<Option<Arc<SweepEpoch>>>,
     /// Mirrors `lazy.is_some()` so the refill fast path pays one relaxed
     /// load (not a lock) when no epoch is in flight.
     lazy_active: AtomicBool,
@@ -451,12 +454,12 @@ impl Heap {
         self.free.stats()
     }
 
-    /// Granules lost to dark matter in the last sweep.
+    /// Granules lost to dark matter in the last retired sweep epoch.
     pub fn dark_bytes(&self) -> usize {
         self.dark_granules.load(Ordering::Relaxed) as usize * GRANULE_BYTES
     }
 
-    pub(crate) fn set_dark_granules(&self, g: u64) {
+    fn set_dark_granules(&self, g: u64) {
         self.dark_granules.store(g, Ordering::Relaxed);
     }
 
@@ -500,18 +503,18 @@ impl Heap {
     // sweep epochs
     // ------------------------------------------------------------------
 
-    /// Publishes `plan` as the active sweep epoch. Called by the
-    /// collector at pause end (instead of sweeping in the pause); from
-    /// here on, refills that miss the free list claim and sweep chunks
-    /// for themselves ([`Heap::refill_cache`]).
-    pub fn install_lazy_plan(&self, plan: Arc<LazySweep>) {
+    /// Publishes `plan` as the active sweep epoch. Called by a lazy
+    /// pause at its end (instead of draining the epoch in the pause);
+    /// from here on, refills that miss the free list claim and sweep
+    /// chunks for themselves ([`Heap::refill_cache`]).
+    pub fn install_lazy_plan(&self, plan: Arc<SweepEpoch>) {
         *self.lazy.lock() = Some(plan);
         self.lazy_active.store(true, Ordering::Release);
     }
 
     /// The active sweep epoch, if any. One relaxed-ish flag check on the
     /// miss-free path; the lock is only taken while an epoch is live.
-    pub fn lazy_plan(&self) -> Option<Arc<LazySweep>> {
+    pub fn lazy_plan(&self) -> Option<Arc<SweepEpoch>> {
         if !self.lazy_active.load(Ordering::Acquire) {
             return None;
         }
@@ -523,10 +526,10 @@ impl Heap {
         self.lazy_active.load(Ordering::Acquire)
     }
 
-    /// Retires the active epoch if every chunk has completed, returning
-    /// the retired plan (so the collector can clear mark bits and log the
-    /// retirement exactly once — the take is atomic under the slot lock).
-    pub fn take_lazy_plan_if_done(&self) -> Option<Arc<LazySweep>> {
+    /// Uninstalls the active epoch if every chunk has completed,
+    /// returning it for [`Heap::retire_epoch`] (so the collector retires
+    /// it exactly once — the take is atomic under the slot lock).
+    pub fn take_lazy_plan_if_done(&self) -> Option<Arc<SweepEpoch>> {
         let mut g = self.lazy.lock();
         if g.as_ref().is_some_and(|p| p.is_done()) {
             self.lazy_active.store(false, Ordering::Release);
@@ -536,7 +539,7 @@ impl Heap {
         }
     }
 
-    /// Cumulative sweep accounting across all epochs and eager sweeps.
+    /// Cumulative sweep accounting across all epochs.
     pub fn sweep_counters(&self) -> SweepCounters {
         let t = &self.sweep_totals;
         SweepCounters {
@@ -549,25 +552,46 @@ impl Heap {
         }
     }
 
-    /// Charges one lazily swept chunk (and its reclaimed granules) to
-    /// the claiming path's counters.
-    pub(crate) fn note_lazy_chunk(&self, source: SweepSource, freed_granules: u64) {
+    /// Charges one swept chunk's reclaimed granules, and for the
+    /// off-pause paths and the straggler fence the chunk itself, to the
+    /// claiming path's counters.
+    pub(crate) fn note_chunk(&self, source: SweepSource, freed_granules: u64) {
         let t = &self.sweep_totals;
         let (chunks, granules) = match source {
-            SweepSource::Refill => (&t.refill_chunks, &t.off_pause_granules),
-            SweepSource::Background => (&t.bg_chunks, &t.off_pause_granules),
-            SweepSource::Straggler => (&t.straggler_chunks, &t.on_pause_granules),
-            SweepSource::Escalation => (&t.escalation_chunks, &t.off_pause_granules),
+            SweepSource::Pause => (None, &t.on_pause_granules),
+            SweepSource::Refill => (Some(&t.refill_chunks), &t.off_pause_granules),
+            SweepSource::Background => (Some(&t.bg_chunks), &t.off_pause_granules),
+            SweepSource::Straggler => (Some(&t.straggler_chunks), &t.on_pause_granules),
+            SweepSource::Escalation => (Some(&t.escalation_chunks), &t.off_pause_granules),
         };
-        chunks.fetch_add(1, Ordering::Relaxed);
+        if let Some(chunks) = chunks {
+            chunks.fetch_add(1, Ordering::Relaxed);
+        }
         granules.fetch_add(freed_granules, Ordering::Relaxed);
     }
 
-    /// Charges an eager (in-pause) sweep's reclaimed granules.
-    pub(crate) fn note_eager_sweep_granules(&self, freed_granules: u64) {
-        self.sweep_totals
-            .on_pause_granules
-            .fetch_add(freed_granules, Ordering::Relaxed);
+    /// Retires a fully drained sweep epoch — the step every epoch ends
+    /// with, whether a pause drained it or the off-pause paths did:
+    /// records its dark matter as [`Heap::dark_bytes`], clears the mark
+    /// bitmap, and returns the epoch's totals. This is the only place
+    /// mark bits are cleared, so every cycle begins with none set.
+    ///
+    /// No cycle may be marking: the caller has the world stopped, or
+    /// holds the collector's coordinator lock, which every cycle start
+    /// holds too.
+    ///
+    /// # Panics
+    /// Panics if the epoch still has unswept chunks: its marks are
+    /// load-bearing until the last chunk is swept.
+    pub fn retire_epoch(&self, epoch: &SweepEpoch) -> SweepStats {
+        assert!(
+            epoch.is_done(),
+            "retiring a sweep epoch with unswept chunks"
+        );
+        let totals = epoch.totals();
+        self.set_dark_granules(totals.dark_granules as u64);
+        self.mark_bits.clear_all();
+        totals
     }
 
     // ------------------------------------------------------------------
@@ -596,25 +620,66 @@ impl Heap {
         true
     }
 
-    /// Releases every non-initial segment whose granules are entirely
-    /// covered by `extents` (the address-ordered free-extent list a
-    /// sweep is about to install), removing the released ranges from
-    /// `extents`. Returns the number of segments released.
+    /// Settles the free list after a pause drained `epoch`
+    /// ([`SweepSource::Pause`]): builds it once from the extents the
+    /// drain held back, already in address order, less any non-initial
+    /// segment they cover entirely (released). The rebuild coalesces
+    /// the extents sweeping split at chunk edges and deals them out in
+    /// address order. Returns the number of segments released.
+    ///
+    /// Must run under stop-the-world, with every allocation cache
+    /// retired and nothing freed since the epoch was planned (planning
+    /// empties the free list).
+    ///
+    /// # Panics
+    /// Panics if the epoch still has unswept chunks: settling then would
+    /// build a free list missing their extents.
+    pub fn settle_drained_epoch(&self, epoch: &SweepEpoch) -> usize {
+        assert!(
+            epoch.is_done(),
+            "settling a sweep epoch with unswept chunks"
+        );
+        debug_assert_eq!(self.free.free_granules(), 0, "freed since planning");
+        let mut extents = epoch.take_held_extents();
+        let released = self.release_covered_segments(&mut extents);
+        self.free.rebuild(extents);
+        released
+    }
+
+    /// Releases every non-initial segment whose granules sit entirely on
+    /// the free list right now (occupancy-driven shrink) and returns how
+    /// many went. A lazily drained epoch freed its extents chunk by
+    /// chunk; the next pause calls this before anything else. The list
+    /// is rebuilt only when a segment went, so that pause pays for a
+    /// rebuild only when it shrinks the heap.
     ///
     /// Must run under stop-the-world, after every allocation cache has
     /// been retired — the only context where "entirely free" is stable.
+    pub fn release_empty_segments(&self) -> usize {
+        let mut extents = self.free.extents_sorted();
+        let released = self.release_covered_segments(&mut extents);
+        if released > 0 {
+            self.free.rebuild(extents);
+        }
+        released
+    }
+
+    /// Releases every non-initial segment entirely covered by `extents`
+    /// (address-ordered; the free list about to be installed) and takes
+    /// the released ranges out of `extents`. Returns how many went.
     /// The release itself is fallible (`heap.segment_release`, the
     /// `munmap`-failure analogue): a failed release keeps the segment
     /// and its free extents.
     ///
-    /// Epoch-aware: a segment is only "empty" once the active sweep
+    /// Epoch-aware: a segment is only "empty" once the installed sweep
     /// epoch (if any) has swept every chunk overlapping it. Until then
     /// its dead granules are invisible to the free list, so an
     /// apparently fully-covered segment could still gain extents — and a
     /// release now would have those extents later freed into a hole.
     /// Segments outside the epoch's mapped snapshot (grown after the
-    /// pause) are vacuously swept and remain releasable.
-    pub(crate) fn release_empty_segments(&self, extents: &mut Vec<Extent>) -> usize {
+    /// pause) are vacuously swept and remain releasable, so the
+    /// snapshot stays consistent.
+    fn release_covered_segments(&self, extents: &mut Vec<Extent>) -> usize {
         let sg = self.table.seg_granules();
         let plan = self.lazy_plan();
         let mut released = 0;
@@ -637,26 +702,6 @@ impl Heap {
             subtract_range(extents, base, base + sg);
             self.table.release(si);
             released += 1;
-        }
-        released
-    }
-
-    /// Releases every non-initial segment whose granules sit entirely on
-    /// the free list right now. The eager sweep paths release inline
-    /// while rebuilding the free list; this is the stop-the-world
-    /// release point for the lazy path, where freed extents accumulate
-    /// incrementally and the next pause is the first moment "entirely
-    /// free" is stable. Same contract as
-    /// [`Heap::release_empty_segments`]: world stopped, caches retired.
-    /// An in-flight sweep epoch is tolerated — segments it has not fully
-    /// swept are skipped (they are not provably empty yet), and its
-    /// mapped-range snapshot stays consistent because only fully swept
-    /// or never-snapshotted segments can be released.
-    pub fn release_empty_free_segments(&self) -> usize {
-        let mut extents = self.free.extents_sorted();
-        let released = self.release_empty_segments(&mut extents);
-        if released > 0 {
-            self.free.rebuild(extents);
         }
         released
     }
@@ -1017,15 +1062,8 @@ impl Heap {
     }
 
     // ------------------------------------------------------------------
-    // cycle bookkeeping
+    // occupancy and failure reports
     // ------------------------------------------------------------------
-
-    /// Clears mark bits and the card table for a new collection cycle.
-    /// Must run at a safepoint (collector initialization, §2.1).
-    pub fn begin_cycle(&self) {
-        self.mark_bits.clear_all();
-        self.cards.clear_all();
-    }
 
     /// Approximate heap occupancy in `[0, 1]`: allocated fraction of the
     /// *committed* granules (free-list space and dark matter excluded
@@ -1235,8 +1273,11 @@ mod tests {
         assert!(heap.mark(a));
         assert!(!heap.mark(a));
         assert!(heap.is_marked(a));
-        heap.begin_cycle();
+        // Retiring a drained sweep epoch is what clears marks.
+        heap.retire_cache(&mut cache);
+        crate::sweep::sweep_serial(&heap, 1 << 10);
         assert!(!heap.is_marked(a));
+        assert!(heap.is_published(a), "the marked object survived");
     }
 
     #[test]
@@ -1455,30 +1496,31 @@ mod tests {
         let sg = heap.segment_granules();
         let initial = heap.segment_stats().initial;
         let committed_before = heap.segment_stats().committed;
-        // An extent list covering the whole heap: both grown segments are
+        // A free list covering the whole heap: both grown segments are
         // entirely free and must be released; the initial ones stay.
-        let mut extents = vec![Extent {
+        heap.free_list().set_extents_unchecked(vec![Extent {
             start: 1,
             len: heap.granules() - 1,
-        }];
-        let released = heap.release_empty_segments(&mut extents);
+        }]);
+        let released = heap.release_empty_segments();
         assert_eq!(released, 2);
         let stats = heap.segment_stats();
         assert_eq!(stats.committed, committed_before - 2);
         assert_eq!(stats.shrinks, 2);
         assert_eq!(stats.peak, committed_before, "peak remembers the burst");
-        // The released ranges left the extent list.
+        // The released ranges left the free list.
+        let extents = heap.free_list().extents_sorted();
         let total: usize = extents.iter().map(|e| e.len).sum();
         assert_eq!(total, initial * sg - 1);
         assert!(extents.iter().all(|e| e.start + e.len <= initial * sg));
         // Partially-occupied segments are kept: cover only half a segment.
         assert!(heap.try_grow());
         let base = initial * sg;
-        let mut partial = vec![Extent {
+        heap.free_list().set_extents_unchecked(vec![Extent {
             start: base,
             len: sg / 2,
-        }];
-        assert_eq!(heap.release_empty_segments(&mut partial), 0);
+        }]);
+        assert_eq!(heap.release_empty_segments(), 0);
     }
 
     #[test]

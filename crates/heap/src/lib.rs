@@ -55,8 +55,5 @@ pub use inspect::{inspect, HeapInspection};
 pub use object::{Header, ObjectRef, CARD_BYTES, GRANULES_PER_CARD, GRANULE_BYTES};
 pub use segment::{HeapBitmap, HeapCards, SegmentTable, SEGMENT_ALIGN_GRANULES};
 pub use shards::{AllocShardStats, BinOccupancy, ShardedFreeList};
-pub use sweep::{
-    sweep_parallel, sweep_serial, LazySweep, ParallelSweep, SweepSource, SweepStats,
-    DEFAULT_CHUNK_GRANULES,
-};
-pub use verify::{assert_heap_valid, verify, verify_tricolor, Violation};
+pub use sweep::{sweep_serial, SweepEpoch, SweepSource, SweepStats, DEFAULT_CHUNK_GRANULES};
+pub use verify::{assert_heap_valid, verify, verify_marks_clear, verify_tricolor, Violation};

@@ -537,21 +537,6 @@ impl HeapBitmap {
         }
     }
 
-    /// Clears words `[start, end)`, skipping holes.
-    pub fn clear_words(&self, start: usize, end: usize) {
-        let wps = self.table.seg_granules() / 64;
-        let mut w = start;
-        while w < end {
-            let si = w / wps;
-            let base = si * wps;
-            let seg_end = base + wps;
-            if let Some(s) = self.table.seg(si) {
-                self.bm(s).clear_words(w - base, end.min(seg_end) - base);
-            }
-            w = seg_end;
-        }
-    }
-
     /// Index of the first set bit at or after `from`, skipping holes.
     pub fn next_set(&self, from: usize) -> Option<usize> {
         self.next_set_before(from, self.len())
@@ -808,7 +793,7 @@ mod tests {
         assert_eq!(bm.count(), 2);
         assert_eq!(bm.count_range(0, 2 * 512), 1);
         assert_eq!(bm.load_word(512 / 64), 0, "word over a hole reads zero");
-        bm.clear_words(0, bm.word_len()); // must not touch the hole
+        bm.clear_all(); // must not touch the hole
         assert_eq!(bm.count(), 0);
     }
 
@@ -830,7 +815,7 @@ mod tests {
         bm.set(512);
         assert_eq!(bm.load_word(0), 1 << 63);
         assert_eq!(bm.load_word(512 / 64), 1);
-        bm.clear_words(0, bm.word_len());
+        bm.clear_all();
         assert_eq!(bm.count(), 0);
     }
 

@@ -1,5 +1,4 @@
-//! Bitwise sweep (paper §2.2) — serial, parallel, and lazy (§7 future
-//! work, implemented here as an extension).
+//! Bitwise sweep (paper §2.2), run as *sweep epochs*.
 //!
 //! Sweep frees memory in time essentially proportional to the number of
 //! live objects: it walks the mark bit vector, reads each marked object's
@@ -12,11 +11,17 @@
 //! The heap is divided into fixed *sweep chunks* that can be swept
 //! independently and in any order: a chunk's carry-in (a live object
 //! spanning into it) is recovered by scanning the mark bitmap backwards
-//! for the nearest preceding marked header ([`Bitmap::prev_set`]). This
-//! makes the same chunk machinery serve the parallel stop-the-world sweep
-//! (workers claim chunks from an atomic counter) and the lazy sweep
-//! (mutators and background threads sweep chunks on demand after the
-//! pause ends).
+//! for the nearest preceding marked header ([`Bitmap::prev_set`]). A
+//! [`SweepEpoch`] is one sweep of the whole heap whose chunks are
+//! CAS-claimed, each exactly once, by whichever paths drain it. The
+//! collector's sweep mode decides only *when* an epoch drains: an eager
+//! pause drains it in its own sweep bucket, a lazy one (§7 future work,
+//! implemented here as an extension) leaves it to allocation refills,
+//! the background sweeper and the next cycle's straggler fence. The
+//! off-pause paths free each chunk's extents as they go; the pause holds
+//! them back and builds the free list once, from every chunk in address
+//! order, when the drain is done ([`Heap::settle_drained_epoch`]).
+//! Either way the epoch ends in [`Heap::retire_epoch`].
 //!
 //! [`Bitmap::prev_set`]: crate::bitmap::Bitmap::prev_set
 
@@ -34,36 +39,19 @@ use crate::object::{Header, ObjectRef};
 pub const DEFAULT_CHUNK_GRANULES: usize = 64 << 10;
 
 /// The result of sweeping one chunk.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ChunkSweep {
+#[derive(Debug, Default)]
+struct ChunkSweep {
     /// Free extents found inside the chunk, address-ordered. Extents at
     /// the chunk edges stop at the chunk boundary; the free list coalesces
     /// them with neighbours from adjacent chunks.
-    pub extents: Vec<Extent>,
+    extents: Vec<Extent>,
     /// Granules occupied by live objects counted to this chunk (objects
     /// are counted where they start).
-    pub live_granules: usize,
+    live_granules: usize,
     /// Number of live objects starting in this chunk.
-    pub live_objects: usize,
+    live_objects: usize,
     /// Granules left as dark matter (runs below the configured minimum).
-    pub dark_granules: usize,
-}
-
-/// Sweeps chunk `chunk` (of `chunk_granules`-sized chunks) of `heap`.
-///
-/// Walks marked headers within the chunk, clears allocation bits of dead
-/// ranges, and returns the free extents. Does **not** touch the free
-/// list; the caller decides whether to free incrementally (lazy) or
-/// rebuild in bulk (stop-the-world).
-pub fn sweep_chunk(heap: &Heap, chunk: usize, chunk_granules: usize) -> ChunkSweep {
-    let heap_granules = heap.granules();
-    // granule 0 is reserved; the sweepable region starts at 1
-    let start = (chunk * chunk_granules).max(1);
-    let end = ((chunk + 1) * chunk_granules).min(heap_granules);
-    if start >= end {
-        return ChunkSweep::default();
-    }
-    sweep_ranges(heap, &heap.mapped_ranges(start, end))
+    dark_granules: usize,
 }
 
 /// Sweeps the given committed granule ranges (address-ordered, each
@@ -161,7 +149,7 @@ pub fn chunk_count(heap: &Heap, chunk_granules: usize) -> usize {
     heap.granules().div_ceil(chunk_granules)
 }
 
-/// Aggregate statistics of a completed sweep.
+/// Totals of a sweep epoch, summed over its chunk results.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SweepStats {
     /// Live granules (objects counted at their start chunk).
@@ -174,153 +162,29 @@ pub struct SweepStats {
     pub dark_granules: usize,
     /// Chunks swept.
     pub chunks: usize,
-    /// Entirely-free segments released back to the segment table by this
-    /// sweep (stop-the-world sweeps only; lazy sweeps never shrink).
-    /// Their granules are counted in `freed_granules` but do not appear
-    /// on the rebuilt free list.
-    pub segments_released: usize,
 }
 
-impl SweepStats {
-    fn absorb(&mut self, c: &ChunkSweep) {
-        self.live_granules += c.live_granules;
-        self.live_objects += c.live_objects;
-        self.freed_granules += c.extents.iter().map(|e| e.len).sum::<usize>();
-        self.dark_granules += c.dark_granules;
-        self.chunks += 1;
-    }
-}
-
-/// Sweeps the whole heap on the calling thread and rebuilds the free
-/// list. All mutator caches must be retired (stop-the-world).
+/// Sweeps the whole heap on the calling thread as an eager pause does:
+/// one epoch drained in place, the free list settled
+/// ([`Heap::settle_drained_epoch`]), the epoch retired. All mutator
+/// caches must be retired (stop-the-world). For tests and benches.
 pub fn sweep_serial(heap: &Heap, chunk_granules: usize) -> SweepStats {
-    let n = chunk_count(heap, chunk_granules);
-    let mut stats = SweepStats::default();
-    let mut all = Vec::new();
-    for c in 0..n {
-        let cs = sweep_chunk(heap, c, chunk_granules);
-        stats.absorb(&cs);
-        all.extend(cs.extents);
-    }
-    // Occupancy-driven shrink: a non-initial segment whose granules are
-    // entirely free after the trough goes back to the segment table
-    // instead of the free list.
-    stats.segments_released = heap.release_empty_segments(&mut all);
-    heap.free_list().rebuild(all);
-    heap.set_dark_granules(stats.dark_granules as u64);
-    heap.note_eager_sweep_granules(stats.freed_granules as u64);
-    stats
+    let epoch = SweepEpoch::new(heap, chunk_granules);
+    epoch.drain(heap, SweepSource::Pause);
+    heap.settle_drained_epoch(&epoch);
+    heap.retire_epoch(&epoch)
 }
 
-/// A parallel sweep decoupled from thread management: any set of
-/// already-running workers (the scheduler's pool, a `thread::scope`,
-/// tests) claims chunks via [`ParallelSweep::worker`]; one thread then
-/// calls [`ParallelSweep::finish`] to rebuild the free list.
-///
-/// Results are sorted by chunk index before the rebuild, so the final
-/// free list is identical regardless of how many workers ran or how the
-/// chunks interleaved — serial and parallel sweeps are byte-for-byte
-/// equivalent.
-#[derive(Debug)]
-pub struct ParallelSweep {
-    chunk_granules: usize,
-    total: usize,
-    next: AtomicUsize,
-    results: Mutex<Vec<(usize, ChunkSweep)>>,
-    recorder: Option<Arc<SpanRecorder>>,
-}
-
-impl ParallelSweep {
-    /// Plans a sweep of the whole heap. All mutator caches must already
-    /// be retired (stop-the-world).
-    pub fn new(heap: &Heap, chunk_granules: usize) -> ParallelSweep {
-        let total = chunk_count(heap, chunk_granules);
-        ParallelSweep {
-            chunk_granules,
-            total,
-            next: AtomicUsize::new(0),
-            results: Mutex::new(Vec::with_capacity(total)),
-            recorder: None,
-        }
-    }
-
-    /// Attaches a flight recorder: each chunk claim is recorded as a
-    /// `sweep.chunk` span on the claiming worker's track.
-    pub fn with_recorder(mut self, rec: Arc<SpanRecorder>) -> ParallelSweep {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// Claims and sweeps chunks until none remain; call from each
-    /// worker. Returns the number of chunks this call swept.
-    pub fn worker(&self, heap: &Heap) -> u64 {
-        let rec = self.recorder.as_deref().filter(|r| r.is_enabled());
-        let mut mine = Vec::new();
-        loop {
-            let c = self.next.fetch_add(1, Ordering::Relaxed);
-            if c >= self.total {
-                break;
-            }
-            let _span = rec.map(|r| r.span(SpanKind::SweepChunk, c as u64));
-            mine.push((c, sweep_chunk(heap, c, self.chunk_granules)));
-        }
-        let swept = mine.len() as u64;
-        if swept > 0 {
-            self.results.lock().extend(mine);
-        }
-        swept
-    }
-
-    /// Rebuilds the free list from the swept chunks (address order) and
-    /// returns the aggregate stats. Call once, after every worker has
-    /// returned.
-    pub fn finish(self, heap: &Heap) -> SweepStats {
-        let mut ordered = self.results.into_inner();
-        // Unconditional: finishing with unswept chunks would silently
-        // rebuild a partial free list (losing memory, or handing out
-        // unswept extents). Runs once per pause — free next to the sort
-        // and rebuild below.
-        assert_eq!(ordered.len(), self.total, "finish before all workers done");
-        ordered.sort_unstable_by_key(|(c, _)| *c);
-        let mut stats = SweepStats::default();
-        let mut all = Vec::new();
-        for (_, cs) in &ordered {
-            stats.absorb(cs);
-            all.extend(cs.extents.iter().copied());
-        }
-        // Shrink while the world is stopped and every cache is retired —
-        // the only context where "segment entirely free" is stable.
-        stats.segments_released = heap.release_empty_segments(&mut all);
-        heap.free_list().rebuild(all);
-        heap.set_dark_granules(stats.dark_granules as u64);
-        heap.note_eager_sweep_granules(stats.freed_granules as u64);
-        stats
-    }
-}
-
-/// Sweeps the whole heap with `workers` freshly spawned threads claiming
-/// chunks from a shared counter, then rebuilds the free list. All
-/// mutator caches must be retired (stop-the-world).
-///
-/// Convenience wrapper over [`ParallelSweep`] for tests and benches; the
-/// collector's pause drives `ParallelSweep` as a scheduler work bucket
-/// instead, keeping thread creation off the pause path.
-pub fn sweep_parallel(heap: &Heap, chunk_granules: usize, workers: usize) -> SweepStats {
-    let ps = ParallelSweep::new(heap, chunk_granules);
-    std::thread::scope(|s| {
-        for _ in 1..workers.max(1) {
-            s.spawn(|| ps.worker(heap));
-        }
-        ps.worker(heap);
-    });
-    ps.finish(heap)
-}
-
-/// Which path claimed a lazily swept chunk. Selects the flight-recorder
-/// span kind and which of the heap's cumulative sweep counters the chunk
-/// and its reclaimed granules are charged to.
+/// Which path claimed a chunk of a sweep epoch. Selects the
+/// flight-recorder span kind and which of the heap's cumulative sweep
+/// counters the chunk and its reclaimed granules are charged to.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SweepSource {
+    /// An eager pause draining the whole epoch in its sweep bucket:
+    /// reclaimed on-pause. Its chunks' extents are held for the pause's
+    /// one settle ([`Heap::settle_drained_epoch`]), not freed chunk by
+    /// chunk.
+    Pause,
     /// An allocation-cache refill that found the free list unable to
     /// satisfy it (sweep-on-refill): the allocator that needs the memory
     /// pays for its reclamation.
@@ -338,10 +202,28 @@ pub enum SweepSource {
 impl SweepSource {
     fn span_kind(self) -> SpanKind {
         match self {
+            SweepSource::Pause => SpanKind::SweepChunk,
             SweepSource::Refill => SpanKind::RefillSweepChunk,
             SweepSource::Background => SpanKind::BgSweepChunk,
             SweepSource::Straggler | SweepSource::Escalation => SpanKind::LazySweepChunk,
         }
+    }
+}
+
+/// The extents an eager pause's drain holds for its one settle, as runs
+/// of consecutive chunks: `(first chunk, end chunk, extents)`.
+type HeldRuns = Vec<(usize, usize, Vec<Extent>)>;
+
+/// Holds chunk `chunk`'s extents. A drainer that claims the chunk after
+/// its last one extends that run, so a drain by one thread holds a
+/// single vector, the way a serial sweep concatenates its chunks.
+fn hold(runs: &mut HeldRuns, chunk: usize, extents: Vec<Extent>) {
+    match runs.last_mut() {
+        Some((_, end, run)) if *end == chunk => {
+            run.extend_from_slice(&extents);
+            *end += 1;
+        }
+        _ => runs.push((chunk, chunk + 1, extents)),
     }
 }
 
@@ -353,16 +235,18 @@ const CHUNK_UNSWEPT: u8 = 0;
 const CHUNK_CLAIMED: u8 = 1;
 const CHUNK_SWEPT: u8 = 2;
 
-/// State of an in-progress *sweep epoch*: a snapshot of the mapped
-/// segment ranges published at pause end, whose chunks are claimed and
-/// swept off-pause — by allocation-cache refills that find the free list
-/// empty, by the background sweeper, by the escalation ladder, and
-/// finally by the next cycle's straggler fence.
+/// A *sweep epoch*: a snapshot of the mapped segment ranges taken at the
+/// end of marking, whose chunks are claimed and swept — inside the pause
+/// by its workers (eager), or off-pause by allocation-cache refills that
+/// find the free list empty, by the background sweeper, by the
+/// escalation ladder, and finally by the next cycle's straggler fence
+/// (lazy).
 ///
-/// The next collection cycle must not start until [`LazySweep::is_done`];
-/// mark bits are still load-bearing for unswept chunks.
+/// The next collection cycle must not start until the epoch
+/// [`SweepEpoch::is_done`] and is retired ([`Heap::retire_epoch`]); mark
+/// bits are still load-bearing for unswept chunks.
 #[derive(Debug)]
-pub struct LazySweep {
+pub struct SweepEpoch {
     chunk_granules: usize,
     /// Scan cursor: a hint for the next unclaimed chunk. Claimers loop
     /// `fetch_add`, skipping chunks whose claim CAS loses.
@@ -374,31 +258,40 @@ pub struct LazySweep {
     /// reason about partially swept epochs.
     state: Box<[AtomicU8]>,
     /// Committed granule ranges at plan time. A segment the grow rung
-    /// commits *during* the lazy sweep has its space put straight on the
+    /// commits *during* a lazy epoch has its space put straight on the
     /// free list (its bitmaps are clear — nothing to sweep); sweeping it
     /// here too would double-free it, so chunks only sweep the snapshot.
     /// The converse race cannot happen: segment release skips any segment
-    /// this epoch has not fully swept ([`LazySweep::range_fully_swept`]),
+    /// this epoch has not fully swept ([`SweepEpoch::range_fully_swept`]),
     /// and everything else only shrinks under a stop-the-world pause.
     mapped: Vec<(usize, usize)>,
     /// Unmarked granules in the mapped snapshot — the epoch's expected
-    /// total yield. Deferred: see [`LazySweep::expected_dead`].
+    /// total yield. Deferred: see [`SweepEpoch::expected_dead`].
     expected_dead: OnceLock<usize>,
-    /// Granules actually freed by completed chunks so far.
+    /// Sums over completed chunks: granules freed, live objects and
+    /// granules, dark matter. Exact once the epoch is done.
     freed: AtomicUsize,
+    live_objects: AtomicUsize,
+    live_granules: AtomicUsize,
+    dark_granules: AtomicUsize,
+    /// Free extents of the chunks a pause swept ([`SweepSource::Pause`]):
+    /// the settle builds the free list from them in one address-ordered
+    /// pass, so the drain takes no free-list lock and no extent has to
+    /// be sorted again. Each drainer hands its share over once.
+    held: Mutex<HeldRuns>,
     recorder: Option<Arc<SpanRecorder>>,
 }
 
-impl LazySweep {
-    /// Plans a lazy sweep of the whole heap, **clearing the free list**:
-    /// all free space (including extents known before the collection) is
+impl SweepEpoch {
+    /// Plans a sweep of the whole heap, **clearing the free list**: all
+    /// free space (including extents known before the collection) is
     /// rediscovered chunk by chunk, so allocation gradually recovers as
     /// chunks are swept.
-    pub fn new(heap: &Heap, chunk_granules: usize) -> LazySweep {
+    pub fn new(heap: &Heap, chunk_granules: usize) -> SweepEpoch {
         heap.free_list().rebuild(std::iter::empty());
         let total = chunk_count(heap, chunk_granules);
         let mapped = heap.mapped_ranges(1, heap.granules());
-        LazySweep {
+        SweepEpoch {
             chunk_granules,
             next: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
@@ -407,6 +300,10 @@ impl LazySweep {
             mapped,
             expected_dead: OnceLock::new(),
             freed: AtomicUsize::new(0),
+            live_objects: AtomicUsize::new(0),
+            live_granules: AtomicUsize::new(0),
+            dark_granules: AtomicUsize::new(0),
+            held: Mutex::new(Vec::new()),
             recorder: None,
         }
     }
@@ -430,29 +327,60 @@ impl LazySweep {
         })
     }
 
-    /// Attaches a flight recorder: each lazily swept chunk is recorded
-    /// on the sweeping thread's track, with the span kind naming which
-    /// path paid for it (`sweep.lazy_chunk`, `sweep.refill_chunk`, or
-    /// `sweep.bg_chunk`).
-    pub fn with_recorder(mut self, rec: Arc<SpanRecorder>) -> LazySweep {
+    /// Attaches a flight recorder: each swept chunk is recorded on the
+    /// sweeping thread's track, with the span kind naming which path paid
+    /// for it (`sweep.chunk`, `sweep.lazy_chunk`, `sweep.refill_chunk`,
+    /// or `sweep.bg_chunk`).
+    pub fn with_recorder(mut self, rec: Arc<SpanRecorder>) -> SweepEpoch {
         self.recorder = Some(rec);
         self
     }
 
     /// Claims and sweeps one chunk, freeing its extents to the heap's
-    /// free list. Returns the chunk's stats, or `None` if all chunks are
-    /// claimed. Equivalent to [`LazySweep::sweep_one_from`] with
+    /// free list. Returns the chunk's index, or `None` if all chunks are
+    /// claimed. Equivalent to [`SweepEpoch::sweep_one_from`] with
     /// [`SweepSource::Escalation`].
-    pub fn sweep_one(&self, heap: &Heap) -> Option<ChunkSweep> {
+    pub fn sweep_one(&self, heap: &Heap) -> Option<usize> {
         self.sweep_one_from(heap, SweepSource::Escalation)
     }
 
     /// Claims and sweeps one chunk on behalf of `source`, freeing its
-    /// extents to the heap's free list and charging the heap's cumulative
-    /// sweep counters. Returns `None` once every chunk is claimed (some
-    /// may still be in flight on other threads — see
-    /// [`LazySweep::is_done`]).
-    pub fn sweep_one_from(&self, heap: &Heap, source: SweepSource) -> Option<ChunkSweep> {
+    /// extents to the heap's free list (or holding them for the settle,
+    /// for [`SweepSource::Pause`]) and charging the heap's cumulative
+    /// sweep counters. Returns the chunk's index, or `None` once every
+    /// chunk is claimed (some may still be in flight on other threads —
+    /// see [`SweepEpoch::is_done`]).
+    pub fn sweep_one_from(&self, heap: &Heap, source: SweepSource) -> Option<usize> {
+        let c = self.claim_next()?;
+        let mut held = HeldRuns::new();
+        self.sweep_claimed(heap, c, source, &mut held);
+        if !held.is_empty() {
+            self.held.lock().append(&mut held);
+        }
+        Some(c)
+    }
+
+    /// Claims and sweeps chunks on behalf of `source` until none is left
+    /// unclaimed, and returns how many this call swept. The pause's
+    /// sweep workers and the straggler fence drain this way; for
+    /// [`SweepSource::Pause`] each drainer hands its chunks' extents to
+    /// the epoch once, at the end.
+    pub fn drain(&self, heap: &Heap, source: SweepSource) -> usize {
+        let mut held = HeldRuns::new();
+        let mut swept = 0;
+        while let Some(c) = self.claim_next() {
+            self.sweep_claimed(heap, c, source, &mut held);
+            swept += 1;
+        }
+        if !held.is_empty() {
+            self.held.lock().append(&mut held);
+        }
+        swept
+    }
+
+    /// Claims the next unclaimed chunk off the scan cursor, or `None`
+    /// once the cursor has passed every chunk.
+    fn claim_next(&self) -> Option<usize> {
         loop {
             let c = self.next.fetch_add(1, Ordering::Relaxed);
             if c >= self.total {
@@ -462,7 +390,7 @@ impl LazySweep {
             // this chunk already, in which case the CAS loses and the
             // cursor moves on.
             if self.claim(c) {
-                return Some(self.sweep_claimed(heap, c, source));
+                return Some(c);
             }
         }
     }
@@ -483,8 +411,9 @@ impl LazySweep {
     }
 
     /// Sweeps an already-claimed chunk, publishes its state, frees its
-    /// extents, and counts it done.
-    fn sweep_claimed(&self, heap: &Heap, c: usize, source: SweepSource) -> ChunkSweep {
+    /// extents (or adds them to `held`, for [`SweepSource::Pause`]), adds
+    /// its results to the epoch's sums, and counts it done.
+    fn sweep_claimed(&self, heap: &Heap, c: usize, source: SweepSource, held: &mut HeldRuns) {
         let _span = self
             .recorder
             .as_deref()
@@ -508,24 +437,62 @@ impl LazySweep {
         // it still considers unswept (the converse — swept but extents in
         // flight — only makes segment release more conservative).
         self.state[c].store(CHUNK_SWEPT, Ordering::Release);
-        for e in &cs.extents {
-            heap.free_list().free(e.start, e.len);
-        }
         let freed: usize = cs.extents.iter().map(|e| e.len).sum();
+        if source == SweepSource::Pause {
+            hold(held, c, cs.extents);
+        } else {
+            for e in &cs.extents {
+                heap.free_list().free(e.start, e.len);
+            }
+        }
         self.freed.fetch_add(freed, Ordering::Relaxed);
-        heap.note_lazy_chunk(source, freed as u64);
+        self.live_objects
+            .fetch_add(cs.live_objects, Ordering::Relaxed);
+        self.live_granules
+            .fetch_add(cs.live_granules, Ordering::Relaxed);
+        self.dark_granules
+            .fetch_add(cs.dark_granules, Ordering::Relaxed);
+        heap.note_chunk(source, freed as u64);
         // Release so the thread that observes `is_done` and retires the
-        // plan (clearing mark bits) is ordered after every chunk's sweep.
+        // plan (reading the sums, clearing mark bits) is ordered after
+        // every chunk's sweep.
         self.done.fetch_add(1, Ordering::Release);
-        cs
+    }
+
+    /// Takes the extents a pause's drain held back, in address order:
+    /// chunks ascending, each chunk's own extents already ordered. A
+    /// drain by one thread held one run, which comes back as it is.
+    pub(crate) fn take_held_extents(&self) -> Vec<Extent> {
+        let mut runs = std::mem::take(&mut *self.held.lock());
+        if let [(_, _, only)] = &mut runs[..] {
+            return std::mem::take(only);
+        }
+        runs.sort_unstable_by_key(|r| r.0);
+        let mut out = Vec::with_capacity(runs.iter().map(|r| r.2.len()).sum());
+        for (_, _, extents) in runs {
+            out.extend_from_slice(&extents);
+        }
+        out
     }
 
     /// True once every chunk has been swept (claimed *and* completed).
     pub fn is_done(&self) -> bool {
         // Acquire pairs with the Release `done` increment in
-        // `sweep_claimed`: retiring the plan (which clears mark bits) is
-        // ordered after the last chunk's bitmap writes.
+        // `sweep_claimed`: retiring the plan (which reads the sums and
+        // clears mark bits) is ordered after the last chunk's writes.
         self.done.load(Ordering::Acquire) >= self.total
+    }
+
+    /// The epoch's totals over the chunks completed so far: exact once
+    /// [`SweepEpoch::is_done`].
+    pub fn totals(&self) -> SweepStats {
+        SweepStats {
+            live_granules: self.live_granules.load(Ordering::Relaxed),
+            live_objects: self.live_objects.load(Ordering::Relaxed),
+            freed_granules: self.freed.load(Ordering::Relaxed),
+            dark_granules: self.dark_granules.load(Ordering::Relaxed),
+            chunks: self.done.load(Ordering::Relaxed),
+        }
     }
 
     /// Fraction of chunks completed, in `[0, 1]`.
@@ -689,7 +656,16 @@ mod tests {
             }
         }
         let sa = sweep_serial(&heap_a, 1 << 10);
-        let sb = sweep_parallel(&heap_b, 1 << 10, 4);
+        // Four threads drain one epoch, then settle and retire it as the
+        // eager pause does.
+        let epoch = SweepEpoch::new(&heap_b, 1 << 10);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| epoch.drain(&heap_b, SweepSource::Pause));
+            }
+        });
+        heap_b.settle_drained_epoch(&epoch);
+        let sb = heap_b.retire_epoch(&epoch);
         assert_eq!(sa.live_objects, sb.live_objects);
         assert_eq!(sa.live_granules, sb.live_granules);
         assert_eq!(sa.freed_granules, sb.freed_granules);
@@ -735,13 +711,11 @@ mod tests {
             }
         }
         let eager = sweep_serial(&heap_a, 1 << 10);
-        let lazy = LazySweep::new(&heap_b, 1 << 10);
+        let lazy = SweepEpoch::new(&heap_b, 1 << 10);
         assert!(!lazy.is_done());
-        let mut stats = SweepStats::default();
-        while let Some(cs) = lazy.sweep_one(&heap_b) {
-            stats.absorb(&cs);
-        }
+        while lazy.sweep_one(&heap_b).is_some() {}
         assert!(lazy.is_done());
+        let stats = lazy.totals();
         assert!((lazy.progress() - 1.0).abs() < f64::EPSILON);
         assert_eq!(stats.live_objects, eager.live_objects);
         assert_eq!(free_total(&heap_a), free_total(&heap_b));
@@ -769,20 +743,22 @@ mod tests {
             }
         }
         let eager = sweep_serial(&heap_a, 1 << 10);
-        let lazy = LazySweep::new(&heap_b, 1 << 10);
+        let lazy = SweepEpoch::new(&heap_b, 1 << 10);
         let sources = [
             SweepSource::Refill,
             SweepSource::Background,
             SweepSource::Straggler,
             SweepSource::Escalation,
         ];
-        let mut stats = SweepStats::default();
         let mut turn = 0usize;
-        while let Some(cs) = lazy.sweep_one_from(&heap_b, sources[turn % sources.len()]) {
-            stats.absorb(&cs);
+        while lazy
+            .sweep_one_from(&heap_b, sources[turn % sources.len()])
+            .is_some()
+        {
             turn += 1;
         }
         assert!(lazy.is_done());
+        let stats = lazy.totals();
         assert_eq!(stats.live_objects, eager.live_objects);
         assert_eq!(stats.live_granules, eager.live_granules);
         assert_eq!(stats.freed_granules, eager.freed_granules);
@@ -810,6 +786,34 @@ mod tests {
         );
     }
 
+    #[test]
+    fn retired_lazy_epoch_reports_dark_bytes_like_eager() {
+        // Retirement records the dark matter of every epoch, drained in
+        // the pause or off it: a lazily swept heap must report the same
+        // `dark_bytes` as an eager sweep of the same marks.
+        let (heap_a, objs_a) = build_heap();
+        let (heap_b, objs_b) = build_heap();
+        for (&a, &b) in objs_a.iter().zip(&objs_b) {
+            // A dead single-granule object between live neighbours is a
+            // run below the two-granule minimum extent: dark matter.
+            if heap_a.header(a).size_granules > 1 {
+                heap_a.mark(a);
+                heap_b.mark(b);
+            }
+        }
+        let eager = sweep_serial(&heap_a, 1 << 10);
+        assert!(eager.dark_granules > 0, "the marks leave dark matter");
+        let plan = Arc::new(SweepEpoch::new(&heap_b, 1 << 10));
+        heap_b.install_lazy_plan(Arc::clone(&plan));
+        plan.drain(&heap_b, SweepSource::Refill);
+        let drained = heap_b.take_lazy_plan_if_done().expect("drained epoch");
+        let totals = heap_b.retire_epoch(&drained);
+        assert_eq!(totals.dark_granules, eager.dark_granules);
+        assert_eq!(heap_b.dark_bytes(), heap_a.dark_bytes());
+        assert_eq!(heap_b.dark_bytes(), eager.dark_granules * GRANULE_BYTES);
+        assert_eq!(heap_b.mark_bits().count(), 0, "retirement clears marks");
+    }
+
     fn growable_heap() -> Heap {
         Heap::new(HeapConfig {
             heap_bytes: 1 << 20,
@@ -832,7 +836,6 @@ mod tests {
         // Nothing is marked, so the grown segments are entirely dead and
         // the sweep must hand them back to the segment table.
         let stats = sweep_serial(&heap, 1 << 10);
-        assert_eq!(stats.segments_released, 2);
         assert_eq!(heap.segment_stats().committed, initial);
         assert_eq!(heap.segment_stats().shrinks, 2);
         // The free list holds only initial-segment space.
@@ -848,7 +851,7 @@ mod tests {
         let heap = growable_heap();
         let sg = heap.segment_granules();
         let plan_granules = heap.granules();
-        let lazy = LazySweep::new(&heap, 1 << 10);
+        let lazy = SweepEpoch::new(&heap, 1 << 10);
         lazy.sweep_one(&heap).unwrap();
         // A grow rung fires mid-sweep: its space goes straight to the
         // free list and must NOT be swept (double-freed) by the plan.
@@ -868,7 +871,7 @@ mod tests {
         assert!(heap.try_grow());
         let sg = heap.segment_granules();
         let initial = heap.segment_stats().initial;
-        let plan = Arc::new(LazySweep::new(&heap, 1 << 10));
+        let plan = Arc::new(SweepEpoch::new(&heap, 1 << 10));
         heap.install_lazy_plan(Arc::clone(&plan));
         // Forge full free-list coverage of the grown (still unswept)
         // segment: without the epoch guard, release would hand the
@@ -879,7 +882,7 @@ mod tests {
             len: sg,
         }]);
         assert_eq!(
-            heap.release_empty_free_segments(),
+            heap.release_empty_segments(),
             0,
             "a segment is only empty once its chunks are swept"
         );
@@ -896,7 +899,7 @@ mod tests {
         while plan.sweep_one(&heap).is_some() {}
         assert!(plan.is_done());
         assert!(heap.take_lazy_plan_if_done().is_some());
-        assert_eq!(heap.release_empty_free_segments(), 1);
+        assert_eq!(heap.release_empty_segments(), 1);
         assert_eq!(heap.segment_stats().committed, initial);
     }
 
@@ -906,14 +909,14 @@ mod tests {
         let sg = heap.segment_granules();
         let initial = heap.segment_stats().initial;
         let plan_granules = heap.granules();
-        let plan = Arc::new(LazySweep::new(&heap, 1 << 10));
+        let plan = Arc::new(SweepEpoch::new(&heap, 1 << 10));
         heap.install_lazy_plan(Arc::clone(&plan));
         // A grow rung fires mid-epoch: the fresh segment is outside the
         // snapshot, its space goes straight to the free list.
         assert!(heap.try_grow());
         // Mid-epoch release may take the never-snapshotted segment (it
         // is vacuously swept) without disturbing the in-flight epoch.
-        assert_eq!(heap.release_empty_free_segments(), 1);
+        assert_eq!(heap.release_empty_segments(), 1);
         assert_eq!(heap.segment_stats().committed, initial);
         // The epoch still drains to the same total as if nothing grew.
         while plan.sweep_one(&heap).is_some() {}
@@ -931,7 +934,7 @@ mod tests {
                 heap.mark(o);
             }
         }
-        let plan = Arc::new(LazySweep::new(&heap, 1 << 10));
+        let plan = Arc::new(SweepEpoch::new(&heap, 1 << 10));
         heap.install_lazy_plan(Arc::clone(&plan));
         // The free list is empty; the only memory is inside unswept
         // chunks, and refill must claim and sweep them itself.

@@ -82,6 +82,15 @@ pub enum Violation {
         /// Extent length.
         len: usize,
     },
+    /// Mark bits are set when a collection cycle begins: the previous
+    /// sweep epoch's retirement did not clear them, and the new cycle
+    /// would take objects marked last cycle for already traced.
+    StaleMarks {
+        /// The lowest marked granule.
+        first: usize,
+        /// Marked granules in the whole heap.
+        count: usize,
+    },
     /// A marked (black) object references an unmarked object without
     /// being covered: the mostly-concurrent tri-color invariant (§2.1)
     /// is broken, and the referent would be swept while reachable.
@@ -140,6 +149,10 @@ impl std::fmt::Display for Violation {
                      epoch has not swept"
                 )
             }
+            Violation::StaleMarks { first, count } => write!(
+                f,
+                "{count} mark bits set at cycle start, the first at granule {first:#x}"
+            ),
             Violation::TriColor {
                 parent,
                 slot,
@@ -287,6 +300,20 @@ pub fn verify(heap: &Heap, strict_refs: bool) -> Vec<Violation> {
     violations
 }
 
+/// Checks that no mark bit is set: the state every collection cycle must
+/// begin in, because retiring the previous sweep epoch clears them all
+/// ([`Heap::retire_epoch`]).
+pub fn verify_marks_clear(heap: &Heap) -> Vec<Violation> {
+    let marks = heap.mark_bits();
+    match marks.next_set(0) {
+        Some(first) => vec![Violation::StaleMarks {
+            first,
+            count: marks.count(),
+        }],
+        None => Vec::new(),
+    }
+}
+
 /// Checks the mostly-concurrent tri-color invariant (§2.1): every
 /// reference held by a marked (black) object must lead to a marked
 /// object, unless something else promises the reference will be
@@ -416,6 +443,23 @@ mod tests {
         h.mark_bits().set(500);
         let v = verify(&h, true);
         assert_eq!(v, vec![Violation::MarkWithoutAlloc { granule: 500 }]);
+    }
+
+    #[test]
+    fn detects_stale_marks() {
+        let h = heap();
+        assert_eq!(verify_marks_clear(&h), vec![]);
+        h.mark_bits().set(700);
+        h.mark_bits().set(500);
+        let v = verify_marks_clear(&h);
+        assert_eq!(
+            v,
+            vec![Violation::StaleMarks {
+                first: 500,
+                count: 2
+            }]
+        );
+        assert!(v[0].to_string().contains("2 mark bits set at cycle start"));
     }
 
     #[test]
@@ -578,14 +622,12 @@ mod tests {
         assert!(h.try_grow());
         assert_eq!(verify(&h, true), vec![]);
         // Release the grown segment again (it is entirely free).
-        let mut extents = h.free_list().extents_sorted();
-        assert_eq!(h.release_empty_segments(&mut extents), 1);
-        h.free_list().set_extents_unchecked(extents.clone());
+        assert_eq!(h.release_empty_segments(), 1);
         assert_eq!(verify(&h, true), vec![]);
         // Forge an extent reaching into the hole: flagged as unmapped.
         let sg = h.segment_granules();
         let hole = h.segment_stats().initial * sg;
-        let mut forged = extents;
+        let mut forged = h.free_list().extents_sorted();
         forged.push(Extent {
             start: hole + 8,
             len: 16,

@@ -84,7 +84,8 @@ pub enum SpanKind {
     PauseDrain,
     /// Pause phase: sweep (arg = 0 eager, 1 lazy-planned).
     PauseSweep,
-    /// Pause phase: end-of-pause mark-bit pre-clear.
+    /// Pause phase: retiring the pause's drained sweep epoch, which
+    /// clears the mark bits.
     PauseClear,
     /// Pause phase: accounting tail — stats, pacer feedback, heap
     /// inspection (arg = cycle number).

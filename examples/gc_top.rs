@@ -188,22 +188,14 @@ fn main() {
     );
     // Per-bucket runs/items: which work buckets each session opened and
     // how much was claimed out of them across all workers.
-    let buckets: Vec<String> = [
-        "cards",
-        "roots",
-        "drain",
-        "sweep",
-        "flood",
-        "clear_bits",
-        "straggler",
-    ]
-    .iter()
-    .filter_map(|name| {
-        let runs = g(&format!("gc_sched_bucket_{name}_runs_total"));
-        let items = g(&format!("gc_sched_bucket_{name}_items_total"));
-        (runs > 0).then(|| format!("{name} {runs}r/{items}i"))
-    })
-    .collect();
+    let buckets: Vec<String> = ["cards", "roots", "drain", "sweep", "flood", "straggler"]
+        .iter()
+        .filter_map(|name| {
+            let runs = g(&format!("gc_sched_bucket_{name}_runs_total"));
+            let items = g(&format!("gc_sched_bucket_{name}_items_total"));
+            (runs > 0).then(|| format!("{name} {runs}r/{items}i"))
+        })
+        .collect();
     println!("sched buckets: {}", buckets.join(", "));
     println!(
         "pause phases : cards {}ms roots {}ms drain {}ms sweep {}ms clear {}ms (wall, cumulative)",

@@ -2,11 +2,11 @@
 //! must be independent of how many pool workers served the sessions.
 //!
 //! Marking is a monotone closure over the object graph (mark-and-push
-//! claims each object exactly once via a mark-bit CAS), and the
-//! parallel sweep sorts its per-chunk results by chunk index before
-//! rebuilding the free list, so the final mark-bit population, live
-//! object/granule counts, free bytes, and the free-list extents are
-//! independent of how many workers raced over the session's buckets.
+//! claims each object exactly once via a mark-bit CAS), and the eager
+//! pause settles the free list its sweep epoch produced with one
+//! address-ordered rebuild, so the live object/granule counts, free
+//! bytes, and the free-list extents are independent of how many workers
+//! raced over the session's buckets.
 //! The **eager** arms run the same deterministic workload (one mutator,
 //! no background tracers, byte-based pacing only) at `stw_workers = 1`
 //! (every bucket inline on the leader — the serial pause) and
@@ -34,7 +34,7 @@
 //! redirty different cards, so *work* accounting can differ across
 //! worker counts even though the *outcome* cannot.
 
-use mcgc::heap::Extent;
+use mcgc::heap::{Extent, GRANULE_BYTES};
 use mcgc::{CollectorMode, Gc, GcConfig, ObjectShape, SweepMode, Trigger};
 
 /// Per-cycle outcome facts that must match exactly across worker counts.
@@ -49,7 +49,9 @@ struct CycleOutcome {
 }
 
 /// End-of-run heap facts that must match exactly (eager arms: the full
-/// address-exact state, free-list extents included).
+/// address-exact state, free-list extents included). The mark-bit
+/// population is 0 in every eager run: each pause retires its epoch,
+/// which clears the marks.
 #[derive(Debug, PartialEq)]
 struct FinalState {
     alloc_bit_population: usize,
@@ -62,7 +64,9 @@ struct FinalState {
 /// The address-independent outcome compared by the lazy+bg arms. No
 /// mark-bit population here: under lazy sweep the mark bitmap is sweep
 /// *plan* state, cleared asynchronously by whichever thread retires the
-/// drained epoch — the live granule set is `alloc_bit_population`.
+/// drained epoch — the live granule set is `alloc_bit_population`. The
+/// live counts are exact: each cycle's are logged when its epoch
+/// retires.
 #[derive(Debug, PartialEq)]
 struct LazyOutcome {
     alloc_bit_population: usize,
@@ -181,17 +185,24 @@ fn run_lazy(mode: CollectorMode, stw_workers: usize) -> LazyOutcome {
     // by clearing the mark bitmap — mid-walk, the audit then sees a
     // marked parent with an unmarked child.
     gc.shutdown();
+    let mut cycles = cycle_outcomes(&gc);
     // The final collect installed a fresh sweep epoch; drain what the
     // sweeper left so the captured bitmaps and free total describe a
-    // fully-swept heap.
+    // fully-swept heap. Unless the sweeper retired it before shutdown,
+    // the last cycle's live counts are not logged yet: take the totals
+    // its retirement would log.
     if let Some(plan) = gc.heap().lazy_plan() {
         while plan.sweep_one(gc.heap()).is_some() {}
+        let totals = plan.totals();
+        let last = cycles.last_mut().expect("the workload collects");
+        last.live_after_objects = totals.live_objects as u64;
+        last.live_after_bytes = (totals.live_granules * GRANULE_BYTES) as u64;
     }
     gc.audit_now();
     LazyOutcome {
         alloc_bit_population: gc.heap().alloc_bits().count(),
         free_bytes: gc.heap().free_bytes(),
-        cycles: cycle_outcomes(&gc)
+        cycles: cycles
             .into_iter()
             .map(|mut c| {
                 // Card geometry is address-dependent under lazy bin
@@ -217,14 +228,14 @@ fn concurrent_mode_outcome_is_worker_count_independent() {
 
 #[test]
 fn stw_baseline_outcome_is_worker_count_independent() {
-    // The baseline pause keeps the mark bits after the cycle (no
-    // pre-clear), so this run also compares a live mark-bit population.
     let serial = run_eager(CollectorMode::StopTheWorld, 1);
     let parallel = run_eager(CollectorMode::StopTheWorld, 4);
     assert!(!serial.cycles.is_empty());
+    // The last cycle's marked population, now cleared by the pause that
+    // retired its epoch, survives as that cycle's live-object count.
     assert!(
-        serial.mark_bit_population > 0,
-        "baseline retains mark bits for comparison"
+        serial.cycles.last().unwrap().live_after_objects > 0,
+        "the last cycle found live objects"
     );
     assert_eq!(serial, parallel);
 }
@@ -261,4 +272,39 @@ fn stw_lazy_outcome_is_worker_count_independent() {
     assert_eq!(serial.cycles.len(), 4);
     assert!(serial.alloc_bit_population > 0);
     assert_eq!(serial, parallel);
+}
+
+/// A lazy cycle logs its live counts when its epoch retires, summed from
+/// the same chunk results an eager pause uses. Stop-the-world marking is
+/// exact reachability with no floating garbage, so with the same
+/// explicit collection points both sweep modes must log the same live
+/// objects and bytes for every cycle whose epoch has retired: all of
+/// them under eager sweep, all but the last under lazy sweep.
+#[test]
+fn lazy_live_counts_match_eager_once_retired() {
+    let live_counts = |sweep| {
+        // The lazy arm's heap: only the explicit collects pause.
+        let mut cfg = config(CollectorMode::StopTheWorld, 1, SweepMode::Lazy);
+        cfg.sweep = sweep;
+        let gc = Gc::new(cfg);
+        workload(&gc);
+        gc.shutdown();
+        gc.log()
+            .cycles
+            .iter()
+            .map(|c| (c.trigger, c.live_after_objects, c.live_after_bytes))
+            .collect::<Vec<_>>()
+    };
+    let eager = live_counts(SweepMode::Eager);
+    let lazy = live_counts(SweepMode::Lazy);
+    assert_eq!(eager.len(), 4, "explicit collects only: {eager:?}");
+    assert_eq!(lazy.len(), eager.len());
+    assert!(
+        eager
+            .iter()
+            .all(|&(_, objects, bytes)| objects > 0 && bytes > 0),
+        "{eager:?}"
+    );
+    let retired = lazy.len() - 1;
+    assert_eq!(lazy[..retired], eager[..retired]);
 }
