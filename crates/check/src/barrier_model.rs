@@ -16,7 +16,16 @@
 //! packet-style worklist drain, one concurrent card-cleaning pass
 //! (snapshot-to-clean → handshake → rescan marked objects), then the
 //! stop-the-world rendezvous (which drains every mutator buffer), root
-//! rescan, final card cleaning, and final drain.
+//! rescan, final card cleaning, and final drain. As in `mcgc_core`, a
+//! root scan queues only the roots it marks itself.
+//!
+//! The *minor* scene ([`BarrierScene::Minor`]) starts a minor cycle on
+//! sticky mark bits instead: `A` is old (marked by the previous cycle),
+//! and `write_ref(A, 0, B)` ran before the kickoff, its card mark visible
+//! while its slot store still sits in the mutator's store buffer. The
+//! kickoff registers the dirty cards holding a marked object, clears
+//! every card, and handshakes once before the registered objects are
+//! rescanned; the mutator then stores `C` into `B` during the cycle.
 
 use crate::mem::WeakMem;
 use crate::sched::Model;
@@ -45,6 +54,25 @@ pub enum BarrierMutation {
     /// handshake: the card indicator can be visible before the slot
     /// store it covers, so the rescan reads a stale slot.
     SkipHandshake,
+    /// A minor kickoff clears the card table as a full kickoff does,
+    /// registering nothing: the old object a young one was stored into
+    /// before the kickoff is black and never rescanned.
+    KickoffClearsCards,
+    /// A minor kickoff rescans its registered cards without the §5.3
+    /// handshake: the rescan can read the old object's slot before the
+    /// buffered pre-kickoff store reaches it.
+    KickoffSkipsHandshake,
+}
+
+/// Which cycle the scene runs.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum BarrierScene {
+    /// A full cycle: every object starts white, and the mutator builds
+    /// `A → B → C` while the collector traces.
+    Full,
+    /// A minor cycle: `A` starts black with a buffered pre-kickoff store
+    /// of `B` into it and a dirty card; the mutator stores `C` into `B`.
+    Minor,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -77,6 +105,8 @@ pub struct BarrierState {
 pub struct BarrierModel {
     /// The protocol change under test.
     pub mutation: BarrierMutation,
+    /// The cycle the scene runs.
+    pub scene: BarrierScene,
 }
 
 // Collector PCs.
@@ -91,6 +121,8 @@ const C_STW: u8 = 8;
 const C_STW_ROOTS: u8 = 9;
 const C_STW_CARDS: u8 = 10;
 const C_DONE: u8 = 11;
+const C_KICKOFF: u8 = 12;
+const C_KICKOFF_HANDSHAKE: u8 = 13;
 
 impl BarrierModel {
     fn ref_of(v: u64) -> Option<u8> {
@@ -101,14 +133,62 @@ impl BarrierModel {
         }
     }
 
+    /// Marks the root and queues it if this scan marked it: an already
+    /// black root (traced this cycle, or old in a minor one) is not
+    /// rescanned.
+    fn scan_root(n: &mut BarrierState) {
+        if !n.marks[ROOT as usize] {
+            n.marks[ROOT as usize] = true;
+            n.col.worklist.push(ROOT);
+        }
+    }
+
     fn step_collector(&self, s: &BarrierState) -> Vec<BarrierState> {
         let c = &s.col;
         let mut n = s.clone();
         match c.pc {
+            C_KICKOFF => {
+                // A minor kickoff's §5.3 steps 1–2, once over the whole
+                // table: register each dirty card holding a marked
+                // object, and clear every card.
+                let cur = c.cursor as usize;
+                if cur < NCARDS {
+                    if s.cards[cur] {
+                        n.cards[cur] = false;
+                        if self.mutation != BarrierMutation::KickoffClearsCards
+                            && s.marks[OBJ_ON_CARD[cur] as usize]
+                        {
+                            n.col.registry.push(cur as u8);
+                        }
+                    }
+                    n.col.cursor += 1;
+                } else {
+                    n.col.cursor = 0;
+                    n.col.pc = if c.registry.is_empty() {
+                        C_ROOT
+                    } else {
+                        C_KICKOFF_HANDSHAKE
+                    };
+                }
+                vec![n]
+            }
+            C_KICKOFF_HANDSHAKE => {
+                // One handshake, then the concurrent cleaner drains the
+                // registry: queue the marked objects on registered cards.
+                if self.mutation != BarrierMutation::KickoffSkipsHandshake
+                    && !s.mem.others_drained(COLLECTOR)
+                {
+                    return vec![]; // blocked; mutator flushes unblock it
+                }
+                for card in n.col.registry.drain(..) {
+                    n.col.worklist.push(OBJ_ON_CARD[card as usize]);
+                }
+                n.col.pc = C_ROOT;
+                vec![n]
+            }
             C_ROOT => {
                 // Kickoff: scan the root set (§2.1).
-                n.marks[ROOT as usize] = true;
-                n.col.worklist.push(ROOT);
+                Self::scan_root(&mut n);
                 n.col.pc = C_DRAIN;
                 vec![n]
             }
@@ -202,8 +282,7 @@ impl BarrierModel {
             }
             C_STW_ROOTS => {
                 // §2.2: rescan all roots.
-                n.marks[ROOT as usize] = true;
-                n.col.worklist.push(ROOT);
+                Self::scan_root(&mut n);
                 n.col.cursor = 0;
                 n.col.pc = C_STW_CARDS;
                 vec![n]
@@ -273,12 +352,27 @@ impl Model for BarrierModel {
     type State = BarrierState;
 
     fn initial(&self) -> BarrierState {
+        let mut mem = WeakMem::new(NOBJ, 2);
+        let mut marks = [false; NOBJ];
+        let mut cards = [false; NCARDS];
+        let (pc, mut_pc) = match self.scene {
+            BarrierScene::Full => (C_ROOT, 0),
+            BarrierScene::Minor => {
+                // Before the kickoff: `A` is old, and write_ref(A, 0, B)
+                // ran — its card mark is visible, its slot store is still
+                // buffered. The mutator goes on with write_ref(B, 0, C).
+                marks[ROOT as usize] = true;
+                mem.plain_store(MUTATOR, 0, 2);
+                cards[CARD_OF[0]] = true;
+                (C_KICKOFF, 2)
+            }
+        };
         BarrierState {
-            mem: WeakMem::new(NOBJ, 2),
-            marks: [false; NOBJ],
-            cards: [false; NCARDS],
+            mem,
+            marks,
+            cards,
             col: ColState {
-                pc: C_ROOT,
+                pc,
                 phase: 0,
                 cur_obj: 0,
                 reg: 0,
@@ -287,7 +381,7 @@ impl Model for BarrierModel {
                 registry: Vec::new(),
                 done: false,
             },
-            mut_pc: 0,
+            mut_pc,
             mut_done: false,
         }
     }
@@ -346,35 +440,54 @@ mod tests {
     use super::*;
     use crate::sched::{Explorer, Outcome};
 
-    fn run(mutation: BarrierMutation) -> Outcome {
-        Explorer::default().run(&BarrierModel { mutation })
+    fn run(scene: BarrierScene, mutation: BarrierMutation) -> Outcome {
+        Explorer::default().run(&BarrierModel { mutation, scene })
+    }
+
+    fn assert_loses_an_object(out: Outcome) {
+        match out {
+            Outcome::Violation { message, .. } => {
+                assert!(message.contains("lost object"), "{message}")
+            }
+            other => panic!("expected violation, got {other:?}"),
+        }
     }
 
     #[test]
     fn faithful_marking_never_loses_an_object() {
-        let out = run(BarrierMutation::None);
+        let out = run(BarrierScene::Full, BarrierMutation::None);
         assert!(out.passed(), "{out:?}");
     }
 
     #[test]
     fn skipping_the_card_mark_loses_an_object() {
-        let out = run(BarrierMutation::SkipCardMark);
-        match out {
-            Outcome::Violation { message, .. } => {
-                assert!(message.contains("lost object"), "{message}")
-            }
-            other => panic!("expected violation, got {other:?}"),
-        }
+        assert_loses_an_object(run(BarrierScene::Full, BarrierMutation::SkipCardMark));
     }
 
     #[test]
     fn skipping_the_handshake_loses_an_object() {
-        let out = run(BarrierMutation::SkipHandshake);
-        match out {
-            Outcome::Violation { message, .. } => {
-                assert!(message.contains("lost object"), "{message}")
-            }
-            other => panic!("expected violation, got {other:?}"),
-        }
+        assert_loses_an_object(run(BarrierScene::Full, BarrierMutation::SkipHandshake));
+    }
+
+    #[test]
+    fn faithful_minor_cycle_never_loses_an_object() {
+        let out = run(BarrierScene::Minor, BarrierMutation::None);
+        assert!(out.passed(), "{out:?}");
+    }
+
+    #[test]
+    fn minor_kickoff_that_clears_the_cards_loses_an_object() {
+        assert_loses_an_object(run(
+            BarrierScene::Minor,
+            BarrierMutation::KickoffClearsCards,
+        ));
+    }
+
+    #[test]
+    fn minor_kickoff_without_the_handshake_loses_an_object() {
+        assert_loses_an_object(run(
+            BarrierScene::Minor,
+            BarrierMutation::KickoffSkipsHandshake,
+        ));
     }
 }

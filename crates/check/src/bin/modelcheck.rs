@@ -12,8 +12,8 @@
 //! uploads the `--report` file as an artifact.
 
 use mcgc_check::{
-    BarrierModel, BarrierMutation, Explorer, Outcome, PoolModel, PoolMutation, SchedModel,
-    SchedMutation, SeqlockModel, SeqlockMutation, ShardModel, ShardMutation,
+    BarrierModel, BarrierMutation, BarrierScene, Explorer, Outcome, PoolModel, PoolMutation,
+    SchedModel, SchedMutation, SeqlockModel, SeqlockMutation, ShardModel, ShardMutation,
 };
 use std::io::Write as _;
 
@@ -31,11 +31,16 @@ fn pool_case(name: &'static str, model: PoolModel, expect_violation: bool) -> Ca
     }
 }
 
-fn barrier_case(name: &'static str, mutation: BarrierMutation, expect_violation: bool) -> Case {
+fn barrier_case(
+    name: &'static str,
+    scene: BarrierScene,
+    mutation: BarrierMutation,
+    expect_violation: bool,
+) -> Case {
     Case {
         name,
         expect_violation,
-        run: Box::new(move |e| e.run(&BarrierModel { mutation })),
+        run: Box::new(move |e| e.run(&BarrierModel { mutation, scene })),
     }
 }
 
@@ -92,15 +97,41 @@ fn cases() -> Vec<Case> {
             true,
         ),
         // §2/§5.3 write barrier + card snapshot (PR 2).
-        barrier_case("barrier/marking (faithful)", BarrierMutation::None, false),
+        barrier_case(
+            "barrier/marking (faithful)",
+            BarrierScene::Full,
+            BarrierMutation::None,
+            false,
+        ),
         barrier_case(
             "barrier/marking -card-mark (write barrier deleted)",
+            BarrierScene::Full,
             BarrierMutation::SkipCardMark,
             true,
         ),
         barrier_case(
             "barrier/marking -handshake (§5.3 step 2 deleted)",
+            BarrierScene::Full,
             BarrierMutation::SkipHandshake,
+            true,
+        ),
+        // Minor cycles on sticky mark bits: the kickoff's remembered set.
+        barrier_case(
+            "barrier/minor (faithful)",
+            BarrierScene::Minor,
+            BarrierMutation::None,
+            false,
+        ),
+        barrier_case(
+            "barrier/minor kickoff clears cards (remembered set dropped)",
+            BarrierScene::Minor,
+            BarrierMutation::KickoffClearsCards,
+            true,
+        ),
+        barrier_case(
+            "barrier/minor kickoff -handshake (§5.3 step 2 deleted)",
+            BarrierScene::Minor,
+            BarrierMutation::KickoffSkipsHandshake,
             true,
         ),
         // Unified GC scheduler (retired gang's session/bucket successor).

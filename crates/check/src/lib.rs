@@ -58,7 +58,7 @@ pub mod sched_model;
 pub mod seqlock_model;
 pub mod shard_model;
 
-pub use barrier_model::{BarrierModel, BarrierMutation};
+pub use barrier_model::{BarrierModel, BarrierMutation, BarrierScene};
 pub use mem::WeakMem;
 pub use pool_model::{PoolModel, PoolMutation, Role};
 pub use sched::{Explorer, Model, Outcome};

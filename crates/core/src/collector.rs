@@ -7,13 +7,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mcgc_heap::{Heap, ObjectRef, SweepEpoch, SweepSource};
-use mcgc_membar::sync::{Condvar, Mutex};
+use mcgc_membar::sync::{Condvar, Mutex, MutexGuard};
 use mcgc_packets::{PacketPool, WorkBuffer};
 use mcgc_telemetry::{SpanGuard, SpanKind, TrackId};
 
 use crate::config::{CollectorMode, GcConfig, SweepMode};
 use crate::mutator::Mutator;
-use crate::pacing::Pacer;
+use crate::pacing::{CycleKind, CycleOutcome, Pacer};
 use crate::roots::{MutatorShared, StwSync};
 use crate::scheduler::{Bucket, Scheduler, Session};
 use crate::stats::{CycleStats, GcLog, Trigger};
@@ -135,7 +135,6 @@ pub(crate) struct CycleCounters {
     pub card_scanned_bytes: AtomicU64,
     pub cards_cleaned_conc: AtomicU64,
     pub cards_cleaned_stw: AtomicU64,
-    pub cards_table_scanned: AtomicU64,
     pub handshakes: AtomicU64,
     pub deferred: AtomicU64,
     pub overflows: AtomicU64,
@@ -151,7 +150,6 @@ impl CycleCounters {
             &self.card_scanned_bytes,
             &self.cards_cleaned_conc,
             &self.cards_cleaned_stw,
-            &self.cards_table_scanned,
             &self.handshakes,
             &self.deferred,
             &self.overflows,
@@ -517,10 +515,35 @@ impl Gc {
     /// and the audit itself would race.
     #[cfg(feature = "verify-gc")]
     pub(crate) fn audit_increment_boundary(&self) {
-        if self.config.background_threads != 0 || self.mutators.lock().len() != 1 {
+        if self.audits_single_threaded() {
+            self.audit_concurrent_state("increment-boundary", false);
+        }
+    }
+
+    /// The audit at a minor cycle's start, in the same single-threaded
+    /// configuration: every marked object with an unmarked child lies on
+    /// a card the kickoff registered. (Elsewhere other mutators store
+    /// into old objects while the audit walks them.)
+    #[cfg(feature = "verify-gc")]
+    fn audit_minor_start(&self) {
+        if !self.audits_single_threaded() {
             return;
         }
-        self.audit_concurrent_state("increment-boundary", false);
+        let registry: std::collections::HashSet<usize> =
+            self.card_state.lock().registry.iter().copied().collect();
+        let v = mcgc_heap::verify_tricolor(
+            &self.heap,
+            |_| false,
+            |g| registry.contains(&(g / mcgc_heap::GRANULES_PER_CARD)),
+        );
+        Self::audit_report("minor-cycle-start", v);
+    }
+
+    /// One registered mutator and no background tracers: no other thread
+    /// walks or mutates the heap while an audit runs outside a pause.
+    #[cfg(feature = "verify-gc")]
+    fn audits_single_threaded(&self) -> bool {
+        self.config.background_threads == 0 && self.mutators.lock().len() == 1
     }
 
     fn audit_report(site: &str, v: Vec<mcgc_heap::Violation>) {
@@ -723,88 +746,155 @@ impl Gc {
     /// memory drops below `(L + M) / K0`, or — independent of the pacer's
     /// schedule — when used memory crosses the soft limit (emergency
     /// kickoff: collect now so the grow rung and hard limit are never
-    /// reached). Called from the allocation slow path; cheap when no
-    /// cycle is due.
-    pub(crate) fn maybe_kickoff(&self) {
+    /// reached). The cycle is minor when the last pause planned one, and
+    /// full after an emergency. Called from `requester`'s allocation slow
+    /// path; cheap when no cycle is due.
+    ///
+    /// `starved`: an allocation of that many bytes failed with no cycle
+    /// running. A planned minor cycle then starts whatever the free bytes
+    /// read — its threshold (young survivors over `K0`) is small enough
+    /// for a fragmented heap to fail an allocation before free memory
+    /// crosses it — and the caller's collection finishes it instead of
+    /// running a full stop-the-world one. Unless another thread's
+    /// collection has made room meanwhile: then the caller retries.
+    pub(crate) fn maybe_kickoff(&self, requester: &Arc<MutatorShared>, starved: Option<usize>) {
         if self.config.mode != CollectorMode::Concurrent || self.in_concurrent_phase() {
             return;
         }
-        let emergency = self.soft_limit_pressure();
-        if !emergency && !self.pacer.lock().should_kickoff(self.kickoff_headroom()) {
+        if !self.soft_limit_pressure() && self.planned_kickoff(starved.is_some()).is_none() {
             return;
         }
-        // Block for the coordinator role (counted safe, so a concurrent
-        // pause can proceed); blocking here also throttles allocators
+        // Blocking for the coordinator role also throttles allocators
         // that crossed the threshold while another thread initializes the
         // cycle, instead of letting them race through the remaining
         // headroom.
-        self.enter_safe();
-        let _guard = self.coordinator.lock();
-        self.exit_safe();
+        let _guard = self.lock_coordinator(requester);
         if self.in_concurrent_phase() {
             return;
         }
+        if starved.is_some_and(|bytes| {
+            self.heap.largest_free_bytes() >= bytes
+                || self
+                    .heap
+                    .lazy_plan()
+                    .is_some_and(|p| p.remaining_chunks() > 0)
+        }) {
+            return;
+        }
         // Lazy sweep from the previous cycle must finish before mark bits
-        // are recycled.
+        // are recycled or kept.
         let _kick = self
             .tel
             .hub
             .spans()
             .span(SpanKind::KickoffDecision, self.heap.free_bytes() as u64);
         self.finish_lazy_sweep();
-        let emergency = self.soft_limit_pressure();
-        if !emergency
-            && !self
-                .pacer
-                .lock()
-                .should_kickoff(self.heap.free_bytes() as u64)
-        {
-            return; // finishing the sweep recovered enough space
-        }
-        if emergency {
+        let kind = if self.soft_limit_pressure() {
             self.tel.on_emergency_kickoff();
-        }
-        self.begin_cycle_locked(true);
+            CycleKind::Full
+        } else {
+            match self.planned_kickoff(starved.is_some()) {
+                Some(kind) => kind,
+                None => return, // finishing the sweep recovered enough space
+            }
+        };
+        self.begin_cycle_locked(kind, Some(requester));
+    }
+
+    /// The pacer's kickoff decision: the kind of the cycle the last pause
+    /// planned, if the §3 kickoff formula holds for the current headroom
+    /// or — for a planned minor cycle — the caller is `starved`.
+    fn planned_kickoff(&self, starved: bool) -> Option<CycleKind> {
+        let headroom = self.kickoff_headroom();
+        let pacer = self.pacer.lock();
+        let kind = pacer.kind();
+        (pacer.should_kickoff(headroom) || starved && kind == CycleKind::Minor).then_some(kind)
+    }
+
+    /// Takes the coordinator role for `requester`'s thread. It waits
+    /// *safe*, so an in-progress pause can proceed without it, and
+    /// *parked*, so a minor kickoff's card handshake does not wait out its
+    /// timeout for an ack this thread cannot give while it blocks; it
+    /// acks before unparking, as [`Mutator::blocked`] does.
+    fn lock_coordinator(&self, requester: &MutatorShared) -> MutexGuard<'_, ()> {
+        requester.park_safe();
+        self.enter_safe();
+        let guard = self.coordinator.lock();
+        // We hold the coordinator lock: nobody else can set `stop`, so
+        // this returns without blocking.
+        self.exit_safe();
+        self.poll_handshake(requester);
+        requester.unpark_safe();
+        guard
     }
 
     /// Free bytes as the kickoff formula should see them: actual free
     /// space plus an upper bound on what the in-flight sweep epoch still
-    /// holds in unswept chunks. The epoch cleared the free list at
-    /// install, so right after a lazy pause `free_bytes()` reads near
-    /// zero — feeding that raw number to the pacer would kick off the
-    /// next cycle immediately and turn every epoch into one big straggler
-    /// fence, instead of letting sweep-on-refill and the background
-    /// sweeper drain it off-pause.
+    /// holds in unswept chunks, less one allocation cache per mutator.
+    ///
+    /// The epoch cleared the free list at install, so right after a lazy
+    /// pause `free_bytes()` reads near zero — feeding that raw number to
+    /// the pacer would kick off the next cycle immediately and turn every
+    /// epoch into one big straggler fence, instead of letting
+    /// sweep-on-refill and the background sweeper drain it off-pause.
+    ///
+    /// The caches: kickoff is checked once per cache refill, so between
+    /// two checks the mutators can claim one cache each. A threshold
+    /// below that — a minor cycle's, whose `L` is only its young
+    /// survivors — would otherwise be crossed by an allocation failure
+    /// first, turning every cycle into a fresh stop-the-world one.
     fn kickoff_headroom(&self) -> u64 {
         let pending = self.heap.lazy_plan().map_or(0, |p| {
             p.pending_granules(&self.heap) * mcgc_heap::GRANULE_BYTES
         });
-        self.heap.free_bytes() as u64 + pending as u64
+        let caches = self.config.heap.cache_bytes * self.mutators.lock().len();
+        (self.heap.free_bytes() + pending).saturating_sub(caches) as u64
     }
 
-    /// Initializes a new cycle (§2.1): clears the card table, resets work
-    /// state, wakes the background threads (they poll). Caller holds the
-    /// coordinator lock; phase is Idle.
+    /// Initializes a new cycle of `kind` (§2.1): resets work state, sets
+    /// up the card table, wakes the background threads (they poll).
+    /// Caller holds the coordinator lock; phase is Idle. A minor cycle
+    /// begins only at a kickoff, run by `requester`'s thread.
     ///
-    /// The mark bits are already clear (§2.1 "the card table is cleared,
-    /// the mark bits are cleared"): the previous cycle's sweep epoch was
-    /// retired first — in its own pause when eager, by the straggler
-    /// fence every cycle start runs when lazy — and retirement clears
-    /// them. So initialization is near-instant, which matters because
-    /// mutators keep allocating while this runs and a slow init would
-    /// eat the kickoff headroom.
-    fn begin_cycle_locked(&self, kickoff: bool) {
+    /// A full cycle clears the card table, and its mark bits are clear
+    /// (§2.1 "the card table is cleared, the mark bits are cleared"): the
+    /// previous cycle's sweep epoch was retired first — in its own pause
+    /// when eager, by the straggler fence every cycle start runs when
+    /// lazy — and retirement clears them, unless it kept them for a
+    /// minor cycle that this full one replaces; then they are cleared
+    /// here. A minor cycle keeps the marks and turns the cards dirtied
+    /// since the last pause into its remembered set
+    /// ([`Gc::register_remembered_set`]). So initialization is short,
+    /// which matters because mutators keep allocating while this runs
+    /// and a slow init would eat the kickoff headroom.
+    fn begin_cycle_locked(&self, kind: CycleKind, requester: Option<&Arc<MutatorShared>>) {
         debug_assert!(!self.in_concurrent_phase());
-        // verify-gc: retirement left no mark behind.
-        #[cfg(feature = "verify-gc")]
-        Self::audit_report("cycle-start", mcgc_heap::verify_marks_clear(&self.heap));
-        self.heap.cards().clear_all();
+        let minor = kind == CycleKind::Minor;
+        debug_assert!(
+            !minor || self.heap.marks_kept(),
+            "minor cycle without kept marks"
+        );
+        if !minor {
+            if self.heap.marks_kept() {
+                self.heap.clear_marks();
+            }
+            // verify-gc: no mark is left behind.
+            #[cfg(feature = "verify-gc")]
+            Self::audit_report("cycle-start", mcgc_heap::verify_marks_clear(&self.heap));
+            self.heap.cards().clear_all();
+        }
         self.counters.reset();
         self.card_state.lock().reset();
+        self.pacer.lock().begin_cycle(kind);
+        if minor {
+            self.register_remembered_set(requester);
+            #[cfg(feature = "verify-gc")]
+            self.audit_minor_start();
+        }
         *self.increments.lock() = IncrementAccum::default();
         self.pool.reset_stats();
         let cycle = self.cycle.fetch_add(1, Ordering::Relaxed) + 1;
-        self.tel.on_cycle_begin();
+        self.tel.on_cycle_begin(minor);
         let spans = self.tel.hub.spans();
         spans.set_cycle(cycle as u32);
         {
@@ -818,18 +908,6 @@ impl Gc {
             w.bg_traced = 0;
             w.allocated = self.heap.bytes_allocated();
         }
-        if kickoff && std::env::var("MCGC_TRACE_KICKOFF").is_ok() {
-            let p = self.pacer.lock();
-            eprintln!(
-                "[kickoff] cycle={} free={}KB threshold={:.0}KB L={:.0}KB M={:.0}KB B={:.3}",
-                self.cycle.load(Ordering::Relaxed),
-                self.heap.free_bytes() / 1024,
-                p.kickoff_threshold() / 1024.0,
-                p.l_est() / 1024.0,
-                p.m_est() / 1024.0,
-                p.b_est(),
-            );
-        }
         self.phase.store(PHASE_CONCURRENT, Ordering::Release);
         // Wake the scheduler pool: the paper's background tracers exist
         // to soak up exactly the window that opens here, and on a busy
@@ -837,25 +915,28 @@ impl Gc {
         self.sched.kickoff_wake();
     }
 
-    /// Requests a collection: finishes the concurrent phase (or runs a
-    /// full stop-the-world collection) and returns once the world has
-    /// resumed. Any registered mutator thread may call this; concurrent
-    /// requests coalesce.
-    pub(crate) fn collect_inner(&self, trigger: Trigger) {
-        self.collect_for_alloc(trigger, usize::MAX);
+    /// Requests a collection for `requester`'s thread: finishes the
+    /// concurrent phase (or runs a full stop-the-world collection) and
+    /// returns once the world has resumed. Any registered mutator thread
+    /// may call this; concurrent requests coalesce.
+    ///
+    /// [`Trigger::Explicit`] always leaves the heap as a full cycle does:
+    /// when the phase it finishes belongs to a minor cycle, a full
+    /// stop-the-world collection follows.
+    pub(crate) fn collect_inner(&self, trigger: Trigger, requester: &MutatorShared) {
+        self.collect_for_alloc(trigger, usize::MAX, requester);
     }
 
     /// Like [`Gc::collect_inner`], but skips the pause if another
     /// thread's collection already produced a free extent of at least
     /// `min_contiguous` bytes (the failed request can now succeed).
-    pub(crate) fn collect_for_alloc(&self, trigger: Trigger, min_contiguous: usize) {
-        // Wait for the coordinator role while *safe*, so an in-progress
-        // pause can proceed without us.
-        self.enter_safe();
-        let _guard = self.coordinator.lock();
-        // We hold the coordinator lock: nobody else can set `stop`, so
-        // this returns without blocking.
-        self.exit_safe();
+    pub(crate) fn collect_for_alloc(
+        &self,
+        trigger: Trigger,
+        min_contiguous: usize,
+        requester: &MutatorShared,
+    ) {
+        let _guard = self.lock_coordinator(requester);
 
         if trigger == Trigger::AllocationFailure {
             if self.heap.largest_free_bytes() >= min_contiguous {
@@ -883,10 +964,16 @@ impl Gc {
         if trigger == Trigger::ConcurrentDone && !self.in_concurrent_phase() {
             return; // someone already finished the phase
         }
-        self.finish_lazy_sweep();
-        self.stop_world();
-        self.run_pause(trigger);
-        self.resume_world();
+        loop {
+            self.finish_lazy_sweep();
+            self.stop_world();
+            let minor = self.run_pause(trigger);
+            self.resume_world();
+            // The second round is a fresh pause, hence full.
+            if !(minor && trigger == Trigger::Explicit) {
+                break;
+            }
+        }
     }
 
     /// The lazy sweep epoch's **completion fence**: drives any chunks the
@@ -1038,9 +1125,10 @@ impl Gc {
     // the pause
     // ------------------------------------------------------------------
 
-    /// Runs the stop-the-world phase (paper §2.2). World is stopped;
-    /// caller holds the coordinator lock.
-    fn run_pause(&self, trigger: Trigger) {
+    /// Runs the stop-the-world phase (paper §2.2) and returns whether the
+    /// cycle it ended was minor. World is stopped; caller holds the
+    /// coordinator lock.
+    fn run_pause(&self, trigger: Trigger) -> bool {
         let fresh = !self.in_concurrent_phase();
         let trigger = if fresh && trigger != Trigger::Explicit {
             Trigger::Baseline
@@ -1119,14 +1207,15 @@ impl Gc {
         }
 
         // A fresh (baseline/explicit-from-idle) collection initializes
-        // its cycle now, under the pause.
+        // its cycle now, under the pause. It is always full.
         if fresh {
-            self.begin_cycle_locked(false);
+            self.begin_cycle_locked(CycleKind::Full, None);
             self.phase.store(PHASE_CONCURRENT, Ordering::Release);
             // timeline: no real concurrent phase
         }
 
         let cycle_no = self.cycle();
+        let kind = self.pacer.lock().kind();
         let free_at_stw_start = self.heap.free_bytes() as u64;
 
         // 2. Final card cleaning (§2.2) — only meaningful if a concurrent
@@ -1185,7 +1274,34 @@ impl Gc {
         #[cfg(feature = "verify-gc")]
         self.audit_strict("post-drain");
 
-        // 5. Sweep: plan the sweep epoch over this cycle's marks. Eager
+        // 5. Feed the pacer (§3.1) and plan the next cycle's kind, which
+        //    the sweep epoch carries. The `L` observation must be the
+        //    FULL trace volume (concurrent + stop-the-world): when a phase
+        //    is halted by an allocation failure, the concurrently-traced
+        //    bytes alone would underestimate `L`, shrink the kickoff
+        //    threshold, and spiral into ever-later kickoffs. Only the
+        //    concurrent collector runs minor cycles.
+        let c = &self.counters;
+        let traced = c.traced_concurrent() + c.traced_stw.load(Ordering::Relaxed);
+        let next = {
+            let mut pacer = self.pacer.lock();
+            let predicted = pacer.l_est() as u64;
+            pacer.end_cycle(traced, c.card_scanned_bytes.load(Ordering::Relaxed).max(1));
+            if self.config.mode == CollectorMode::Concurrent {
+                let at_last_pause = self.timeline.lock().alloc_at_last_end;
+                pacer.plan_next(&CycleOutcome {
+                    kind,
+                    traced,
+                    predicted,
+                    allocated: self.heap.bytes_allocated() - at_last_pause,
+                    heap: self.heap.total_bytes() as u64,
+                })
+            } else {
+                CycleKind::Full
+            }
+        };
+
+        // 6. Sweep: plan the sweep epoch over this cycle's marks. Eager
         //    sweep drains it right here as a scheduler bucket, holding
         //    each chunk's extents, then settles the free list once, with
         //    the world stopped: the held extents in address order, less
@@ -1196,7 +1312,8 @@ impl Gc {
         //    finishes stragglers.
         let sweep = self.coord_span(SpanKind::PauseSweep, u64::from(!drain_now));
         let epoch = SweepEpoch::new(&self.heap, self.config.sweep_chunk_granules)
-            .with_recorder(Arc::clone(self.tel.hub.spans()));
+            .with_recorder(Arc::clone(self.tel.hub.spans()))
+            .keeping_marks(next == CycleKind::Minor);
         let drained = if drain_now {
             session.run(Bucket::Sweep, |w| {
                 self.drain_epoch(w, &epoch, SweepSource::Pause)
@@ -1217,10 +1334,11 @@ impl Gc {
             self.audit_strict("post-sweep");
         }
 
-        // 6. Retire a drained epoch: its chunk sums give the cycle's live
+        // 7. Retire a drained epoch: its chunk sums give the cycle's live
         //    and dark totals, and the mark bits are cleared, so the next
-        //    cycle starts with none set. A lazy epoch retires off-pause,
-        //    once drained, and logs its live totals then.
+        //    cycle starts with none set, unless that cycle is minor. A
+        //    lazy epoch retires off-pause, once drained, and logs its live
+        //    totals then.
         let clear = self.coord_span(SpanKind::PauseClear, 0);
         let swept = drained.map_or_else(Default::default, |e| self.heap.retire_epoch(&e));
         let clear_wall = clear.finish();
@@ -1228,7 +1346,7 @@ impl Gc {
         // (the accounting below is leader-only).
         drop(session);
 
-        // 7. Account the cycle.
+        // 8. Account the cycle.
         let account = self.coord_span(SpanKind::PauseAccount, 0);
         let cost = &self.config.cost;
         let card_single_ms = stw_clean_work + extra_clean_ms;
@@ -1266,10 +1384,10 @@ impl Gc {
 
         let incr = *self.increments.lock();
         let pool_stats = self.pool.stats();
-        let c = &self.counters;
         let stats = CycleStats {
             cycle: self.cycle(),
             trigger: Some(trigger),
+            minor: kind == CycleKind::Minor,
             pause_ms: overhead_ms + mark_ms + sweep_ms,
             mark_ms,
             sweep_ms,
@@ -1310,16 +1428,6 @@ impl Gc {
             packet_entries_watermark: pool_stats.entries_watermark,
         };
 
-        // 8. Feed the pacer (§3.1). The `L` observation must be the FULL
-        //    trace volume (concurrent + stop-the-world): when a phase is
-        //    halted by an allocation failure, the concurrently-traced
-        //    bytes alone would underestimate `L`, shrink the kickoff
-        //    threshold, and spiral into ever-later kickoffs.
-        self.pacer.lock().end_cycle(
-            c.traced_concurrent() + c.traced_stw.load(Ordering::Relaxed),
-            c.card_scanned_bytes.load(Ordering::Relaxed).max(1),
-        );
-
         self.tel.on_stw_end(
             pause_begin_ns,
             pause_begin_ns + pause_wall.as_nanos() as u64,
@@ -1346,6 +1454,7 @@ impl Gc {
         if let Some(track) = self.coord_track {
             spans.record_span(track, SpanKind::Cycle, kickoff_ns, pause_end_ns, cycle_no);
         }
+        kind == CycleKind::Minor
     }
 
     /// Degraded-mode recovery (watchdog): dirties the card of every
@@ -1620,10 +1729,11 @@ mod tests {
     /// A sweeper that finishes an epoch while another thread holds the
     /// coordinator lock leaves the plan and the mark bits alone: that
     /// holder may be starting the next cycle's marking. Once the lock is
-    /// free, the same call retires the epoch, which clears the bits.
+    /// free, the same call retires the epoch, which clears the bits (the
+    /// stop-the-world collector's next cycle is always full).
     #[test]
     fn epoch_retirement_waits_for_the_coordinator() {
-        let mut cfg = GcConfig::with_heap_bytes(4 << 20);
+        let mut cfg = GcConfig::stw_with_heap_bytes(4 << 20);
         cfg.sweep = SweepMode::Lazy;
         cfg.bg_sweep = false;
         cfg.stw_workers = 1;
@@ -1646,6 +1756,62 @@ mod tests {
         gc.sweep_some_lazy();
         assert!(!gc.heap.lazy_plan_active(), "epoch retired once free");
         assert!(!gc.heap.is_marked(keep));
+        drop(m);
+        gc.shutdown();
+    }
+
+    /// A minor kickoff registers the dirty card of an old object a young
+    /// one was stored into, and `collect()` that finds the minor cycle
+    /// running finishes it, then runs a full stop-the-world cycle.
+    #[test]
+    fn explicit_collect_finishes_a_minor_cycle_then_runs_a_full_one() {
+        let mut cfg = GcConfig::with_heap_bytes(4 << 20);
+        cfg.background_threads = 0;
+        cfg.stw_workers = 1;
+        let gc = Gc::new(cfg);
+        let mut m = gc.register_mutator();
+        let old = m.alloc(ObjectShape::new(1, 2, 0)).unwrap();
+        m.root_push(Some(old));
+        // Unreachable allocation until a concurrent full cycle has run.
+        let junk = ObjectShape::new(0, 30, 0);
+        while gc.log().cycles.is_empty() || gc.in_concurrent_phase() {
+            m.alloc(junk).unwrap();
+        }
+        assert!(
+            gc.heap.marks_kept(),
+            "a full cycle keeps its marks for a minor one"
+        );
+        assert_eq!(gc.pacer.lock().kind(), CycleKind::Minor);
+        let young = m.alloc(ObjectShape::new(0, 2, 0)).unwrap();
+        m.write_ref(old, 0, Some(young));
+        {
+            let _coordinator = gc.coordinator.lock();
+            let requester = Arc::clone(&gc.mutators.lock()[0]);
+            gc.begin_cycle_locked(CycleKind::Minor, Some(&requester));
+        }
+        assert!(gc.in_concurrent_phase());
+        assert!(gc.heap.is_marked(old), "old objects stay black");
+        assert!(!gc.heap.is_marked(young));
+        assert_eq!(
+            Vec::from(gc.card_state.lock().registry.clone()),
+            vec![old.card()],
+            "the old object's dirty card is the remembered set"
+        );
+        assert!(!gc.heap.cards().is_dirty(old.card()));
+        m.collect();
+        let log = gc.log();
+        let kinds: Vec<(bool, Option<Trigger>)> =
+            log.cycles.iter().map(|c| (c.minor, c.trigger)).collect();
+        assert_eq!(
+            kinds[1..],
+            [
+                (true, Some(Trigger::Explicit)),
+                (false, Some(Trigger::Explicit)),
+            ]
+        );
+        assert!(!kinds[0].0);
+        assert_eq!(log.cycles[2].live_after_objects, 2);
+        assert_eq!(m.read_ref(old, 0), Some(young));
         drop(m);
         gc.shutdown();
     }

@@ -114,7 +114,7 @@ impl Mutator {
         loop {
             ladder.iteration(&self.gc, shape.bytes() as u64)?;
             // Kickoff check (§3.1), then this allocation's tracing duty.
-            self.gc.maybe_kickoff();
+            self.gc.maybe_kickoff(&self.shared, None);
             self.gc.mutator_increment(&self.shared, refill_bytes);
             {
                 // SAFETY: the owner's access (`&mut self`, thread
@@ -148,7 +148,7 @@ impl Mutator {
         let mut ladder = Escalation::new();
         loop {
             ladder.iteration(&self.gc, bytes)?;
-            self.gc.maybe_kickoff();
+            self.gc.maybe_kickoff(&self.shared, None);
             self.gc.mutator_increment(&self.shared, bytes);
             match self.gc.heap.alloc_large(shape) {
                 Ok(obj) => return Ok(obj),
@@ -271,7 +271,7 @@ impl Mutator {
 
     /// Requests a full collection and waits for it to complete.
     pub fn collect(&mut self) {
-        self.gc.collect_inner(Trigger::Explicit);
+        self.gc.collect_inner(Trigger::Explicit, &self.shared);
     }
 }
 
@@ -289,6 +289,9 @@ struct Escalation {
     /// Whether the bounded backpressure stall has already run; it never
     /// repeats for the same request, keeping slow-path time bounded.
     stalled: bool,
+    /// Whether this request's failure has already had its chance to
+    /// start a planned minor cycle (once per request, as the stall).
+    kicked_off: bool,
     /// Most recent heap-level failure (large allocations), preserved so
     /// the final OOM carries the allocator's own context.
     last_error: Option<mcgc_heap::AllocError>,
@@ -302,6 +305,7 @@ impl Escalation {
             collections: 0,
             grows: 0,
             stalled: false,
+            kicked_off: false,
             last_error: None,
         }
     }
@@ -366,13 +370,24 @@ impl Escalation {
             gc.tel.on_alloc_oom();
             return Err(self.final_error(gc, requested_bytes as u64));
         }
+        if !self.kicked_off && !gc.in_concurrent_phase() {
+            // No cycle running: a minor one the pacer planned starts now
+            // (`Gc::maybe_kickoff`), and the retry's tracing duty does its
+            // work while the other mutators run, ahead of the collection
+            // that finishes it.
+            self.kicked_off = true;
+            gc.maybe_kickoff(shared, Some(requested_bytes));
+            if gc.in_concurrent_phase() {
+                return Ok(());
+            }
+        }
         let rung = if gc.in_concurrent_phase() {
             EscalationRung::FinishConcurrent
         } else {
             EscalationRung::FullStw
         };
         gc.tel.on_alloc_rung(rung);
-        gc.collect_for_alloc(Trigger::AllocationFailure, requested_bytes);
+        gc.collect_for_alloc(Trigger::AllocationFailure, requested_bytes, shared);
         self.collections += 1;
         // A collection may have unblocked the lazy rung again.
         self.lazy_rungs = 0;

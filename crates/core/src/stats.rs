@@ -55,6 +55,11 @@ pub struct CycleStats {
     pub cycle: u64,
     /// What ended the concurrent phase (or `Baseline`).
     pub trigger: Option<Trigger>,
+    /// A minor cycle: it kept the previous cycle's mark bits (sticky
+    /// mark bits), so it traced only objects that became reachable since
+    /// the previous pause, from the roots and the remembered set. A
+    /// full cycle traced from clear marks.
+    pub minor: bool,
 
     // -- pause decomposition, work-model milliseconds --
     /// Total modelled pause.
@@ -133,9 +138,13 @@ pub struct CycleStats {
     // -- heap --
     /// Free bytes when the stop-the-world phase began.
     pub free_at_stw_start: u64,
-    /// Live bytes after marking (swept heap).
+    /// Marked bytes after marking (swept heap): the live bytes, plus a
+    /// concurrent cycle's floating garbage. A minor cycle's also include
+    /// old garbage (objects a previous cycle marked that have died since),
+    /// which only a full cycle frees.
     pub live_after_bytes: u64,
-    /// Live objects after marking.
+    /// Marked objects after marking, old garbage included after a minor
+    /// cycle (see `live_after_bytes`).
     pub live_after_objects: u64,
     /// Free bytes after the cycle completed.
     pub free_after_bytes: u64,

@@ -40,6 +40,7 @@ pub(crate) struct GcTelemetry {
 
     // -- counters (cumulative across cycles, updated at cycle end) --
     cycles: Arc<Counter>,
+    minor_cycles: Arc<Counter>,
     pauses: Arc<Counter>,
     traced_mutator_bytes: Arc<Counter>,
     traced_background_bytes: Arc<Counter>,
@@ -159,6 +160,7 @@ impl GcTelemetry {
                 })
                 .collect(),
             cycles: c("gc_cycles_total"),
+            minor_cycles: c("gc_minor_cycles_total"),
             pauses: c("gc_pauses_total"),
             traced_mutator_bytes: c("gc_traced_mutator_bytes_total"),
             traced_background_bytes: c("gc_traced_background_bytes_total"),
@@ -243,11 +245,15 @@ impl GcTelemetry {
     // phase events
     // ------------------------------------------------------------------
 
-    /// Cycle initialization (§2.1): card table + mark bits cleared,
-    /// counters reset. (The kickoff's free-byte headroom rides on the
+    /// Cycle initialization (§2.1): counters reset, and the card table
+    /// cleared (full cycle) or turned into the remembered set (minor
+    /// cycle). (The kickoff's free-byte headroom rides on the
     /// `pacer.kickoff` span.)
-    pub(crate) fn on_cycle_begin(&self) {
+    pub(crate) fn on_cycle_begin(&self, minor: bool) {
         self.cycles.inc();
+        if minor {
+            self.minor_cycles.inc();
+        }
     }
 
     /// Pause complete: feeds the pause histogram and the MMU tracker with

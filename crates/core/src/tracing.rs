@@ -312,9 +312,6 @@ impl Gc {
             while found.is_empty() && cs.cursor < ncards {
                 let end = (cs.cursor + self.config.card_clean_batch).min(ncards);
                 self.heap.cards().snapshot_dirty(cs.cursor, end, &mut found);
-                self.counters
-                    .cards_table_scanned
-                    .fetch_add((end - cs.cursor) as u64, Ordering::Relaxed);
                 cs.cursor = end;
             }
             if found.is_empty() {
@@ -353,6 +350,35 @@ impl Gc {
             .card_scanned_bytes
             .fetch_add(bytes, Ordering::Relaxed);
         bytes.max(1)
+    }
+
+    /// A minor cycle's remembered set, built at its kickoff by §5.3 steps
+    /// 1–2 run once over the whole card table: registers every dirty card
+    /// that holds the start of a marked object (an old object, which a
+    /// reference may have been stored into since the last pause), clears
+    /// every card indicator, and runs one handshake, so the stores those
+    /// cards cover are visible before the concurrent cleaner rescans them
+    /// from the registry. A dirty card holding no marked object covers
+    /// only young objects, which are traced whole when reached: it is
+    /// cleared without registering, as a full kickoff drops every card.
+    pub(crate) fn register_remembered_set(&self, requester: Option<&Arc<MutatorShared>>) {
+        let cards = self.heap.cards();
+        let marks = self.heap.mark_bits();
+        let gpc = mcgc_heap::GRANULES_PER_CARD;
+        let mut old = Vec::new();
+        cards.snapshot_dirty(0, cards.len(), &mut old);
+        // One mark-word load per dirty card at the current geometry.
+        old.retain(|&card| {
+            marks
+                .next_set_before(card * gpc, (card + 1) * gpc)
+                .is_some()
+        });
+        if old.is_empty() {
+            return;
+        }
+        self.card_handshake(requester);
+        self.counters.handshakes.fetch_add(1, Ordering::Relaxed);
+        self.card_state.lock().registry.extend(old);
     }
 
     /// §5.3 step 2 as a real rendezvous: advances the handshake epoch and
@@ -571,7 +597,7 @@ impl Gc {
         #[cfg(feature = "verify-gc")]
         self.audit_increment_boundary();
         if self.concurrent_work_exhausted() {
-            self.collect_inner(crate::stats::Trigger::ConcurrentDone);
+            self.collect_inner(crate::stats::Trigger::ConcurrentDone, m);
         }
     }
 

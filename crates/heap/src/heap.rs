@@ -292,6 +292,9 @@ pub struct Heap {
     /// Mirrors `lazy.is_some()` so the refill fast path pays one relaxed
     /// load (not a lock) when no epoch is in flight.
     lazy_active: AtomicBool,
+    /// The last retired epoch kept its mark bits for a minor cycle, and
+    /// no [`Heap::clear_marks`] has run since.
+    marks_kept: AtomicBool,
     /// Cumulative sweep accounting (see [`SweepCounters`]).
     sweep_totals: SweepTotals,
 }
@@ -366,6 +369,7 @@ impl Heap {
             dark_granules: AtomicU64::new(0),
             lazy: Mutex::new(None),
             lazy_active: AtomicBool::new(false),
+            marks_kept: AtomicBool::new(false),
             sweep_totals: SweepTotals::default(),
         }
     }
@@ -573,8 +577,8 @@ impl Heap {
     /// Retires a fully drained sweep epoch — the step every epoch ends
     /// with, whether a pause drained it or the off-pause paths did:
     /// records its dark matter as [`Heap::dark_bytes`], clears the mark
-    /// bitmap, and returns the epoch's totals. This is the only place
-    /// mark bits are cleared, so every cycle begins with none set.
+    /// bitmap unless the epoch keeps it for a minor cycle
+    /// ([`SweepEpoch::keeping_marks`]), and returns the epoch's totals.
     ///
     /// No cycle may be marking: the caller has the world stopped, or
     /// holds the collector's coordinator lock, which every cycle start
@@ -590,8 +594,30 @@ impl Heap {
         );
         let totals = epoch.totals();
         self.set_dark_granules(totals.dark_granules as u64);
-        self.mark_bits.clear_all();
+        if epoch.keeps_marks() {
+            self.marks_kept.store(true, Ordering::Relaxed);
+        } else {
+            self.clear_marks();
+        }
         totals
+    }
+
+    /// Clears the mark bitmap. This is the only place mark bits are
+    /// cleared (a released segment's are reset with it): when an epoch
+    /// retires ahead of a full cycle, and when a full cycle must start
+    /// where the retired epoch kept its marks ([`Heap::marks_kept`]). So
+    /// every full cycle begins with none set.
+    ///
+    /// No cycle may be marking, as for [`Heap::retire_epoch`].
+    pub fn clear_marks(&self) {
+        self.mark_bits.clear_all();
+        self.marks_kept.store(false, Ordering::Relaxed);
+    }
+
+    /// True when the last retired epoch kept its mark bits for a minor
+    /// cycle and they have not been cleared since.
+    pub fn marks_kept(&self) -> bool {
+        self.marks_kept.load(Ordering::Relaxed)
     }
 
     // ------------------------------------------------------------------

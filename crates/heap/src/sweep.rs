@@ -244,7 +244,8 @@ const CHUNK_SWEPT: u8 = 2;
 ///
 /// The next collection cycle must not start until the epoch
 /// [`SweepEpoch::is_done`] and is retired ([`Heap::retire_epoch`]); mark
-/// bits are still load-bearing for unswept chunks.
+/// bits are still load-bearing for unswept chunks. The epoch also carries
+/// whether the next cycle keeps its marks ([`SweepEpoch::keeping_marks`]).
 #[derive(Debug)]
 pub struct SweepEpoch {
     chunk_granules: usize,
@@ -280,6 +281,8 @@ pub struct SweepEpoch {
     /// be sorted again. Each drainer hands its share over once.
     held: Mutex<HeldRuns>,
     recorder: Option<Arc<SpanRecorder>>,
+    /// Retirement keeps the mark bits: the next cycle is minor.
+    keep_marks: bool,
 }
 
 impl SweepEpoch {
@@ -305,6 +308,7 @@ impl SweepEpoch {
             dark_granules: AtomicUsize::new(0),
             held: Mutex::new(Vec::new()),
             recorder: None,
+            keep_marks: false,
         }
     }
 
@@ -334,6 +338,19 @@ impl SweepEpoch {
     pub fn with_recorder(mut self, rec: Arc<SpanRecorder>) -> SweepEpoch {
         self.recorder = Some(rec);
         self
+    }
+
+    /// Records whether the cycle after this epoch's is minor: if so,
+    /// [`Heap::retire_epoch`] keeps the mark bits (sticky mark bits, so
+    /// the survivors stay black), else it clears them.
+    pub fn keeping_marks(mut self, keep: bool) -> SweepEpoch {
+        self.keep_marks = keep;
+        self
+    }
+
+    /// Whether retirement keeps the mark bits.
+    pub(crate) fn keeps_marks(&self) -> bool {
+        self.keep_marks
     }
 
     /// Claims and sweeps one chunk, freeing its extents to the heap's

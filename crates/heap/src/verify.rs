@@ -82,9 +82,10 @@ pub enum Violation {
         /// Extent length.
         len: usize,
     },
-    /// Mark bits are set when a collection cycle begins: the previous
-    /// sweep epoch's retirement did not clear them, and the new cycle
-    /// would take objects marked last cycle for already traced.
+    /// Mark bits are set when a full collection cycle begins: neither
+    /// the previous sweep epoch's retirement nor the cycle start cleared
+    /// them, and the new cycle would take objects marked last cycle for
+    /// already traced.
     StaleMarks {
         /// The lowest marked granule.
         first: usize,
@@ -300,9 +301,12 @@ pub fn verify(heap: &Heap, strict_refs: bool) -> Vec<Violation> {
     violations
 }
 
-/// Checks that no mark bit is set: the state every collection cycle must
-/// begin in, because retiring the previous sweep epoch clears them all
-/// ([`Heap::retire_epoch`]).
+/// Checks that no mark bit is set: the state every full collection
+/// cycle must begin in, because retiring the previous sweep epoch clears
+/// them all ([`Heap::retire_epoch`]) unless it kept them for a minor
+/// cycle, and a full cycle that finds them kept clears them first
+/// ([`Heap::clear_marks`]). A minor cycle begins with the previous
+/// cycle's marks; [`verify_tricolor`] checks its start instead.
 pub fn verify_marks_clear(heap: &Heap) -> Vec<Violation> {
     let marks = heap.mark_bits();
     match marks.next_set(0) {

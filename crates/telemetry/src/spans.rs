@@ -909,6 +909,15 @@ mod tests {
         let reader = {
             let r = Arc::clone(&r);
             std::thread::spawn(move || {
+                // Count passes from the first visible span: on a loaded
+                // host the reader can otherwise finish every pass before
+                // any writer has registered its track. The wait is
+                // bounded; the assertion below reports a reader that
+                // never saw a span.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while r.tracks().iter().all(|t| t.spans.is_empty()) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
                 let mut seen = 0usize;
                 for _ in 0..200 {
                     for t in r.tracks() {

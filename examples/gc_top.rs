@@ -1,7 +1,8 @@
 //! `gc_top` — a live, `top`-style one-line-per-second view of the
 //! collector, driven entirely by the telemetry hub (histograms, gauges,
 //! flight-recorder postmortem). Runs a jbb-style workload in the
-//! background and prints, each second: phase, cycle, pause p50/p99/max,
+//! background and prints, each second: phase, cycle, minor cycles so
+//! far (sticky mark bits), pause p50/p99/max,
 //! minimum mutator utilization, heap and packet-pool occupancy, bytes
 //! traced by mutators/background/STW, and the pacer's §3 estimates.
 //!
@@ -81,8 +82,8 @@ fn main() {
         opts.warehouses
     );
     println!(
-        "{:<4} {:>5} {:>5}  {:>9} {:>9} {:>9}  {:>6}  {:>5} {:>5}  {:>7} {:>7} {:>7}  {:>5} {:>7} {:>7} {:>6}",
-        "sec", "phase", "cycle", "p50ms", "p99ms", "maxms", "mmu1s", "heap%", "pool%",
+        "{:<4} {:>5} {:>5} {:>5}  {:>9} {:>9} {:>9}  {:>6}  {:>5} {:>5}  {:>7} {:>7} {:>7}  {:>5} {:>7} {:>7} {:>6}",
+        "sec", "phase", "cycle", "minor", "p50ms", "p99ms", "maxms", "mmu1s", "heap%", "pool%",
         "mu_MB", "bg_MB", "stw_MB", "K0", "L_MB", "M_MB", "B"
     );
 
@@ -102,13 +103,14 @@ fn main() {
         let m: BTreeMap<String, f64> = tel.registry().sample().into_iter().collect();
         let g = |name: &str| metric(&m, name);
         println!(
-            "{:<4} {:>5} {:>5}  {:>9.2} {:>9.2} {:>9.2}  {:>6.3}  {:>5.1} {:>5.2}  {:>7.1} {:>7.1} {:>7.1}  {:>5.1} {:>7.1} {:>7.1} {:>6.3}",
+            "{:<4} {:>5} {:>5} {:>5}  {:>9.2} {:>9.2} {:>9.2}  {:>6.3}  {:>5.1} {:>5.2}  {:>7.1} {:>7.1} {:>7.1}  {:>5.1} {:>7.1} {:>7.1} {:>6.3}",
             sec,
             match gc.phase() {
                 Phase::Concurrent => "CONC",
                 Phase::Idle => "idle",
             },
             g("gc_cycle") as u64,
+            g("gc_minor_cycles_total") as u64,
             pauses.p50 as f64 / 1e6,
             pauses.p99 as f64 / 1e6,
             pauses.max as f64 / 1e6,
@@ -129,10 +131,11 @@ fn main() {
     gc.telemetry_sample();
 
     println!(
-        "\nworkload: {:.0} tx/s over {:.1}s, {} cycles",
+        "\nworkload: {:.0} tx/s over {:.1}s, {} cycles ({} minor)",
         report.throughput(),
         report.wall.as_secs_f64(),
-        report.log.cycles.len()
+        report.log.cycles.len(),
+        report.log.cycles.iter().filter(|c| c.minor).count()
     );
     // Degraded-mode health: all zeros on a healthy run; non-zero rows
     // show the resilience machinery (escalation ladder, pause watchdog,

@@ -1,7 +1,7 @@
 //! End-to-end tests of the §4 work-packet protocol and the §5 fence
 //! protocols as exercised by the collector.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use mcgc::packets::{PacketPool, PoolConfig, PushOutcome, WorkBuffer};
@@ -66,6 +66,12 @@ fn termination_matches_reality_proptest() {
 
 /// Many concurrent producer/consumer threads over a small pool: every
 /// item is consumed exactly once and termination is detected.
+///
+/// Each producer returns its last packet to the pool (`finish`) and then
+/// counts itself done. A consumer stops only at an empty pop that began
+/// after every producer was done: by then every item is in a packet the
+/// pool or a consumer holds, so no producer can be left spinning on a
+/// full pool with nobody draining it.
 #[test]
 fn stress_no_loss_no_duplication() {
     let pool: Arc<PacketPool<u64>> = Arc::new(PacketPool::new(PoolConfig {
@@ -73,13 +79,16 @@ fn stress_no_loss_no_duplication() {
         capacity: 16,
     }));
     let total_items = 40_000u64;
+    let producers = 4u64;
+    let producers_done = AtomicU64::new(0);
     let seen: Vec<_> = (0..total_items).map(|_| AtomicBool::new(false)).collect();
     std::thread::scope(|s| {
-        for t in 0..4 {
+        for t in 0..producers {
             let pool = Arc::clone(&pool);
+            let producers_done = &producers_done;
             s.spawn(move || {
                 let mut buf = WorkBuffer::new(&pool);
-                let per = total_items / 4;
+                let per = total_items / producers;
                 for i in (t * per)..((t + 1) * per) {
                     loop {
                         match buf.push(i) {
@@ -88,27 +97,27 @@ fn stress_no_loss_no_duplication() {
                         }
                     }
                 }
+                buf.finish();
+                producers_done.fetch_add(1, Ordering::Release);
             });
         }
         for _ in 0..3 {
             let pool = Arc::clone(&pool);
-            let seen = &seen;
+            let (seen, producers_done) = (&seen, &producers_done);
             s.spawn(move || {
                 let mut buf = WorkBuffer::new(&pool);
-                let mut idle = 0;
-                while idle < 1000 {
+                loop {
+                    let all_produced = producers_done.load(Ordering::Acquire) == producers;
                     match buf.pop() {
                         Some(i) => {
-                            idle = 0;
                             let was = seen[i as usize].swap(true, Ordering::Relaxed);
                             assert!(!was, "item {i} consumed twice");
                         }
-                        None => {
-                            idle += 1;
-                            std::thread::yield_now();
-                        }
+                        None if all_produced => break,
+                        None => std::thread::yield_now(),
                     }
                 }
+                buf.finish();
             });
         }
     });
