@@ -28,8 +28,8 @@
 //!
 //! Prints one row per (mode, threads) point and writes machine-readable
 //! results to `BENCH_alloc.json` (override with `MCGC_BENCH_OUT`); CI's
-//! `bench-smoke` job archives that file and appends the speedups to
-//! EXPERIMENTS.md.
+//! `bench-smoke` job checks that file and uploads it as an artifact (it
+//! is not checked in).
 
 use std::time::Instant;
 

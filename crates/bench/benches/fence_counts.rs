@@ -72,6 +72,6 @@ fn main() {
         "\nreduction: {:.1}x fewer fences than the naive scheme",
         naive_total as f64 / batched_total.max(1) as f64
     );
-    println!("(§5's goal; the litmus tests in mcgc-membar show the batched");
-    println!("protocols are still sound under store-buffer weak ordering.)");
+    println!("(§5's goal; the store-buffer models in mcgc-check show the");
+    println!("batched protocols are still sound under weak ordering.)");
 }

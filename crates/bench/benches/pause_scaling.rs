@@ -42,12 +42,11 @@
 //!
 //! Prints one row per (mode, sweep, workers) point and writes
 //! machine-readable results to `BENCH_pause.json` (override with
-//! `MCGC_BENCH_OUT`); CI's `bench-smoke` job archives that file and
-//! appends the scheduler speedups and the lazy-sweep pause reduction to
-//! EXPERIMENTS.md. Any run whose max pause exceeds 5x the running
-//! average dumps the worst-pause postmortem (per-phase wall shares,
-//! per-worker busy/idle splits) so an outlier is diagnosable from the
-//! CI log alone.
+//! `MCGC_BENCH_OUT`); CI's `bench-smoke` job gates on that file and
+//! uploads it as an artifact (it is not checked in). Any run whose max
+//! pause exceeds 5x the running average dumps the worst-pause
+//! postmortem (per-phase wall shares, per-worker busy/idle splits) so
+//! an outlier is diagnosable from the CI log alone.
 
 use std::time::Duration;
 

@@ -460,6 +460,20 @@ mod tests {
     }
 
     #[test]
+    fn late_card_mark_is_benign_and_reachable() {
+        // A barrier whose card mark lands after the concurrent cleaning
+        // pass leaves the card dirty for the stop-the-world pass: a race
+        // the faithful run above shows benign, and one that occurs.
+        let model = BarrierModel {
+            mutation: BarrierMutation::None,
+            scene: BarrierScene::Full,
+        };
+        assert!(
+            Explorer::default().reaches(&model, |s| s.col.phase == 1 && s.cards.contains(&true))
+        );
+    }
+
+    #[test]
     fn skipping_the_card_mark_loses_an_object() {
         assert_loses_an_object(run(BarrierScene::Full, BarrierMutation::SkipCardMark));
     }

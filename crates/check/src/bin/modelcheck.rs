@@ -8,12 +8,13 @@
 //!
 //! The state budget may also be set with the `MCGC_MODELCHECK_BUDGET`
 //! environment variable (the CLI flag wins); CI uses it to keep the
-//! full 5-model × mutation matrix inside a fixed time budget, and
+//! full 6-model × mutation matrix inside a fixed time budget, and
 //! uploads the `--report` file as an artifact.
 
 use mcgc_check::{
-    BarrierModel, BarrierMutation, BarrierScene, Explorer, Outcome, PoolModel, PoolMutation,
-    SchedModel, SchedMutation, SeqlockModel, SeqlockMutation, ShardModel, ShardMutation,
+    AllocModel, AllocMutation, BarrierModel, BarrierMutation, BarrierScene, Explorer, Outcome,
+    PoolModel, PoolMutation, SchedModel, SchedMutation, SeqlockModel, SeqlockMutation, ShardModel,
+    ShardMutation,
 };
 use std::io::Write as _;
 
@@ -28,6 +29,14 @@ fn pool_case(name: &'static str, model: PoolModel, expect_violation: bool) -> Ca
         name,
         expect_violation,
         run: Box::new(move |e| e.run(&model)),
+    }
+}
+
+fn alloc_case(name: &'static str, mutation: AllocMutation, expect_violation: bool) -> Case {
+    Case {
+        name,
+        expect_violation,
+        run: Box::new(move |e| e.run(&AllocModel { mutation })),
     }
 }
 
@@ -94,6 +103,18 @@ fn cases() -> Vec<Case> {
         pool_case(
             "pool/produce-consume counter-before-op (§4.3 reversed)",
             PoolModel::produce_consume(PoolMutation::CounterBeforeOp),
+            true,
+        ),
+        // §5.2 allocation publication.
+        alloc_case("alloc/publish (faithful)", AllocMutation::None, false),
+        alloc_case(
+            "alloc/publish -fence (§5.2 publication fence deleted)",
+            AllocMutation::SkipPublishFence,
+            true,
+        ),
+        alloc_case(
+            "alloc/publish -bit-test (§5.2 deferral deleted)",
+            AllocMutation::SkipBitTest,
             true,
         ),
         // §2/§5.3 write barrier + card snapshot (PR 2).

@@ -7,9 +7,8 @@
 //!
 //! * [`sched`] — a loom-style controlled scheduler: exhaustive DFS over
 //!   every interleaving of a protocol state machine's micro-steps, with
-//!   visited-state hashing (generalizing `mcgc_membar::weaksim`). A
-//!   bounded search that runs out of budget reports
-//!   [`Outcome::Inconclusive`] — never a silent pass;
+//!   visited-state hashing. A bounded search that runs out of budget
+//!   reports [`Outcome::Inconclusive`] — never a silent pass;
 //! * [`mem`] — the weak-memory substrate (per-thread store buffers for
 //!   plain data, sequentially-consistent-but-not-fencing synchronization
 //!   locations, §5-style fences and handshakes);
@@ -18,10 +17,17 @@
 //!   explorer reports) and the collapsed-critical-section reduction the
 //!   lock-based models use.
 //!
+//! Two test-only modules run straight-line litmus programs on the same
+//! substrate: `litmus` shows the §5.1 and §5.3 anomalies at their
+//! smallest, next to the fence or handshake that removes each, and
+//! `weaksim` checks the store-buffer rules themselves on whole programs.
+//!
 //! The model inventory, one per protocol the tree ships:
 //!
 //! * [`pool_model`] — the §4 packet-pool transitions (tagged-CAS
 //!   push/pop, §5.1 publication fence, §4.3 after-the-op counters);
+//! * [`alloc_model`] — §5.2 allocation publication: one fence before an
+//!   allocation cache's bits, and the tracer's bit test and deferral;
 //! * [`barrier_model`] — the §2/§5.3 kickoff/write-barrier/
 //!   card-snapshot protocol;
 //! * [`sched_model`] — the unified GC scheduler's session/bucket
@@ -39,7 +45,8 @@
 //!   deal-in (`crates/heap/src/shards.rs`).
 //!
 //! Every model has a **mutation mode** ([`pool_model::PoolMutation`],
-//! [`barrier_model::BarrierMutation`], [`sched_model::SchedMutation`],
+//! [`alloc_model::AllocMutation`], [`barrier_model::BarrierMutation`],
+//! [`sched_model::SchedMutation`],
 //! [`seqlock_model::SeqlockMutation`], [`shard_model::ShardMutation`])
 //! that deletes one fence, tag check, handshake, notification, unwind
 //! guard, or ordering rule; the checker must find the resulting bug,
@@ -49,7 +56,10 @@
 //! `MCGC_MODELCHECK_BUDGET`), or the unit tests with
 //! `cargo test -p mcgc-check`.
 
+pub mod alloc_model;
 pub mod barrier_model;
+#[cfg(test)]
+mod litmus;
 pub mod locks;
 pub mod mem;
 pub mod pool_model;
@@ -57,7 +67,10 @@ pub mod sched;
 pub mod sched_model;
 pub mod seqlock_model;
 pub mod shard_model;
+#[cfg(test)]
+mod weaksim;
 
+pub use alloc_model::{AllocModel, AllocMutation};
 pub use barrier_model::{BarrierModel, BarrierMutation, BarrierScene};
 pub use mem::WeakMem;
 pub use pool_model::{PoolModel, PoolMutation, Role};

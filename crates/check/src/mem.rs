@@ -1,10 +1,16 @@
 //! The weak-memory substrate shared by the protocol models.
 //!
-//! Same operational model as `mcgc_membar::weaksim`, packaged as a value
-//! the model states embed: each thread owns a buffer of pending *plain*
-//! stores that flush to shared memory in any order preserving
-//! per-location coherence. Plain loads are satisfied from the thread's
-//! own buffer (store forwarding) or shared memory.
+//! An operational store-buffer model, packaged as a value the model
+//! states embed: each thread owns a buffer of pending *plain* stores
+//! that flush to shared memory in any order preserving per-location
+//! coherence. Plain loads are satisfied from the thread's own buffer
+//! (store forwarding) or shared memory, in program order: loads are
+//! never reordered, so a reader-side fence has nothing to order and the
+//! models show the *writer-side* §5 fences load-bearing.
+//!
+//! This is strictly weaker than TSO (stores to *different* locations may
+//! reorder, as on PowerPC/IA-64) and strong enough to exhibit every §5
+//! anomaly.
 //!
 //! The models split locations in two classes, mirroring how the paper's
 //! protocols are built:

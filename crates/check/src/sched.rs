@@ -1,18 +1,18 @@
 //! The controlled scheduler: exhaustive DFS over every interleaving of a
 //! [`Model`]'s atomic steps, with visited-state hashing.
 //!
-//! This generalizes `mcgc_membar::weaksim::explore` from straight-line
-//! litmus programs to instrumented protocol state machines: a model's
-//! state carries thread program counters, local registers, ghost
-//! variables, and a weak-memory substrate ([`crate::mem::WeakMem`]); its
-//! successor function enumerates every enabled micro-step (instruction
-//! issue or store-buffer flush) of every thread.
+//! A model is an instrumented protocol state machine: its state carries
+//! thread program counters, local registers, ghost variables, and a
+//! weak-memory substrate ([`crate::mem::WeakMem`]); its successor
+//! function enumerates every enabled micro-step (instruction issue or
+//! store-buffer flush) of every thread.
 //!
 //! Safety properties are checked two ways: [`Model::invariant`] runs on
 //! every reachable state (e.g. "no packet is acquired twice"), and
 //! [`Model::finale`] runs on every final state (e.g. "every produced
 //! entry was consumed"). A reachable non-final state with no successors
-//! is reported as a deadlock.
+//! is reported as a deadlock. [`Explorer::reaches`] asks the converse
+//! question: does some execution get to a given state at all?
 
 use std::collections::HashSet;
 use std::hash::Hash;
@@ -159,6 +159,35 @@ impl Explorer {
             states: visited.len(),
             finals,
         }
+    }
+
+    /// True if some reachable state of `model` satisfies `pred`. The
+    /// dual of [`Explorer::run`]'s safety checks: it shows that a
+    /// protocol's benign outcomes (a deferral, a late card mark) really
+    /// occur, so a pass is not a pass only because the model never gets
+    /// there. `model`'s own checks are not run.
+    ///
+    /// # Panics
+    /// If the state budget runs out first: an unfinished search answers
+    /// neither way.
+    pub fn reaches<M: Model>(&self, model: &M, pred: impl Fn(&M::State) -> bool) -> bool {
+        let mut visited: HashSet<M::State> = HashSet::new();
+        let mut stack = vec![model.initial()];
+        while let Some(state) = stack.pop() {
+            if !visited.insert(state.clone()) {
+                continue;
+            }
+            assert!(
+                visited.len() <= self.max_states,
+                "state budget {} exhausted",
+                self.max_states
+            );
+            if pred(&state) {
+                return true;
+            }
+            stack.extend(model.successors(&state));
+        }
+        false
     }
 }
 

@@ -35,10 +35,10 @@ pub(crate) const PHASE_CONCURRENT: u8 = 1;
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum GcError {
     /// The heap cannot satisfy the allocation even after the full
-    /// escalation ladder (lazy-sweep progress, finishing the concurrent
-    /// phase, full stop-the-world collections, heap growth, one bounded
-    /// backpressure stall) has run. Carries a postmortem snapshot: the
-    /// segment map and how far each ladder rung got.
+    /// escalation ladder (finishing the concurrent phase, full
+    /// stop-the-world collections, heap growth, one bounded backpressure
+    /// stall) has run. Carries a postmortem snapshot: the segment map
+    /// and how far each ladder rung got.
     OutOfMemory {
         /// Bytes the failing allocation requested.
         requested_bytes: u64,
@@ -56,8 +56,6 @@ pub enum GcError {
         segment_map: u64,
         /// Slow-path iterations this allocation request took.
         ladder_iterations: u32,
-        /// Lazy-sweep rungs that ran for this request.
-        lazy_sweeps: u32,
         /// Full collections that ran for this request.
         full_collections: u32,
         /// Grow rungs that committed a segment for this request.
@@ -78,7 +76,6 @@ impl std::fmt::Display for GcError {
                 segments_max,
                 segment_map,
                 ladder_iterations,
-                lazy_sweeps,
                 full_collections,
                 grows,
                 stalled,
@@ -87,8 +84,7 @@ impl std::fmt::Display for GcError {
                 "out of memory after full collection: requested {requested_bytes} B \
                  with heap {}.{}% occupied; {segments_committed}/{segments_max} segments \
                  committed (map {segment_map:#x}); ladder: {ladder_iterations} iterations, \
-                 {lazy_sweeps} lazy sweeps, {full_collections} full collections, \
-                 {grows} grows, stalled: {stalled}",
+                 {full_collections} full collections, {grows} grows, stalled: {stalled}",
                 occupancy_permille / 10,
                 occupancy_permille % 10
             ),
@@ -117,7 +113,6 @@ impl From<mcgc_heap::AllocError> for GcError {
                 // mutator's escalation state fills these in via
                 // `Escalation::final_error` when it owns the failure.
                 ladder_iterations: 0,
-                lazy_sweeps: 0,
                 full_collections: 0,
                 grows: 0,
                 stalled: false,
@@ -1246,11 +1241,12 @@ impl Gc {
         let mut extra_clean_ms = 0.0;
         let mut drain_wall = Duration::ZERO;
         let mut drain_round = 0u64;
+        let mut redirty = Vec::new();
         loop {
             let drain = self.coord_span(SpanKind::PauseDrain, drain_round);
             self.drain_marking_parallel(&session);
             drain_wall += drain.finish();
-            let mut redirty = Vec::new();
+            redirty.clear();
             self.heap
                 .cards()
                 .snapshot_dirty(0, self.heap.cards().len(), &mut redirty);
@@ -1311,7 +1307,7 @@ impl Gc {
         //    background sweeper, and the *next* cycle's fence only
         //    finishes stragglers.
         let sweep = self.coord_span(SpanKind::PauseSweep, u64::from(!drain_now));
-        let epoch = SweepEpoch::new(&self.heap, self.config.sweep_chunk_granules)
+        let epoch = SweepEpoch::new(&self.heap, mcgc_heap::SWEEP_CHUNK_GRANULES)
             .with_recorder(Arc::clone(self.tel.hub.spans()))
             .keeping_marks(next == CycleKind::Minor);
         let drained = if drain_now {
@@ -1440,8 +1436,11 @@ impl Gc {
         //    trace's counter tracks (still inside the accounting span),
         //    close the pause, then record the enclosing cycle span —
         //    begin = kickoff — so pause phases nest under their cycle.
+        //    The drain loop's last card snapshot found the table clean,
+        //    and nothing in the pause dirties a card after it, so its
+        //    count is the dirty-card point: no table walk here.
         if spans.is_enabled() {
-            mcgc_heap::inspect(&self.heap).record_counters(spans);
+            mcgc_heap::record_counters(&self.heap, redirty.len(), spans);
         }
         drop(account);
         let pause_end_ns = pause_begin_ns + pause.finish().as_nanos() as u64;

@@ -69,8 +69,6 @@ pub struct GcConfig {
     pub card_clean_passes: usize,
     /// Eager (paper) or lazy (§7 extension) sweep.
     pub sweep: SweepMode,
-    /// Sweep chunk size in granules.
-    pub sweep_chunk_granules: usize,
     /// Whether background threads drain the sweep epoch while idle
     /// (lazy sweep only). Off, only mutator refills and the next cycle's
     /// straggler fence sweep — the A/B arm the pause bench calls `lazy`
@@ -101,11 +99,7 @@ pub struct GcConfig {
     /// Initial guess for `M` (bytes on dirty cards) as a fraction of the
     /// heap.
     pub initial_dirty_fraction: f64,
-    /// Escalation ladder rung 1: lazy-sweep retries allowed per
-    /// collection attempt before escalating to a pause (livelock guard —
-    /// each retry sweeps a few chunks, so progress is bounded work).
-    pub alloc_lazy_retry_cap: u32,
-    /// Escalation ladder rungs 2-3: full collections attempted before
+    /// Escalation ladder rungs 1-2: full collections attempted before
     /// declaring [`crate::GcError::OutOfMemory`].
     pub alloc_full_collections: u32,
     /// Hard cap on total slow-path iterations per allocation request —
@@ -145,7 +139,6 @@ impl Default for GcConfig {
             pin_workers: false,
             card_clean_passes: 1,
             sweep: SweepMode::Eager,
-            sweep_chunk_granules: 16 << 10, // 128 KiB chunks
             bg_sweep: true,
             bg_sweep_batch: 8,
             card_clean_batch: 2048,
@@ -154,7 +147,6 @@ impl Default for GcConfig {
             cost: CostModel::default(),
             initial_live_fraction: 0.35,
             initial_dirty_fraction: 0.02,
-            alloc_lazy_retry_cap: 16,
             alloc_full_collections: 3,
             alloc_iteration_cap: 96,
             handshake_timeout: std::time::Duration::from_micros(500),

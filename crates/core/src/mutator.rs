@@ -127,16 +127,11 @@ impl Mutator {
                     }
                 }
             }
-            // Rung 1: lazy-sweep progress may recover memory without a
-            // pause (bounded per collection attempt — a sweep that keeps
-            // "progressing" without freeing a usable run must escalate).
-            if ladder.try_lazy(&self.gc) {
-                continue;
-            }
-            // Rungs 2-5: finish the concurrent phase, then full
-            // stop-the-world collections, then heap growth, then one
-            // bounded backpressure stall; give up (typed OOM) after all
-            // of those prove futile.
+            // The refill already swept the in-flight epoch dry. Rungs
+            // 1-4: finish the concurrent phase, then full stop-the-world
+            // collections, then heap growth, then one bounded
+            // backpressure stall; give up (typed OOM) after all of those
+            // prove futile.
             ladder.collect_rung(&self.gc, &self.shared, shape.bytes())?;
         }
     }
@@ -153,9 +148,6 @@ impl Mutator {
             match self.gc.heap.alloc_large(shape) {
                 Ok(obj) => return Ok(obj),
                 Err(e) => ladder.last_error = Some(e),
-            }
-            if ladder.try_lazy(&self.gc) {
-                continue;
             }
             ladder.collect_rung(&self.gc, &self.shared, shape.bytes())?;
         }
@@ -276,13 +268,13 @@ impl Mutator {
 }
 
 /// Per-request state of the allocation-failure escalation ladder
-/// (lazy-sweep progress → finish concurrent phase → full stop-the-world
-/// → heap growth → one bounded backpressure stall → OOM), with per-rung
-/// telemetry and two livelock guards: a per-collection cap on lazy-sweep
-/// retries and a hard cap on total slow-path iterations.
+/// (finish concurrent phase → full stop-the-world → heap growth → one
+/// bounded backpressure stall → OOM), with per-rung telemetry and a hard
+/// cap on total slow-path iterations as the livelock guard. There is no
+/// lazy-sweep rung: `Heap::refill_cache` and `Heap::alloc_large` sweep
+/// the in-flight epoch until no chunk is left to claim before they fail.
 struct Escalation {
     iterations: u32,
-    lazy_rungs: u32,
     collections: u32,
     /// Segments committed by the grow rung for this request.
     grows: u32,
@@ -301,7 +293,6 @@ impl Escalation {
     fn new() -> Escalation {
         Escalation {
             iterations: 0,
-            lazy_rungs: 0,
             collections: 0,
             grows: 0,
             stalled: false,
@@ -324,26 +315,11 @@ impl Escalation {
         Ok(())
     }
 
-    /// Rung 1: sweeps a few lazy chunks if the per-collection retry
-    /// budget allows; returns true when progress was made (caller
-    /// retries allocation).
-    fn try_lazy(&mut self, gc: &Gc) -> bool {
-        if self.lazy_rungs >= gc.config.alloc_lazy_retry_cap {
-            return false;
-        }
-        if !gc.sweep_some_lazy() {
-            return false;
-        }
-        self.lazy_rungs += 1;
-        gc.tel.on_alloc_rung(EscalationRung::LazySweep);
-        true
-    }
-
-    /// Rungs 2-5: finishes the concurrent phase (if one is running) or
+    /// Rungs 1-4: finishes the concurrent phase (if one is running) or
     /// runs a full stop-the-world collection; once the configured number
     /// of full collections has proven futile, tries to grow the heap by
-    /// one segment (rung 4), then runs the one bounded backpressure
-    /// stall (rung 5), and only then errors out with a typed OOM.
+    /// one segment (rung 3), then runs the one bounded backpressure
+    /// stall (rung 4), and only then errors out with a typed OOM.
     fn collect_rung(
         &mut self,
         gc: &Gc,
@@ -351,18 +327,16 @@ impl Escalation {
         requested_bytes: usize,
     ) -> Result<(), GcError> {
         if self.collections >= gc.config.alloc_full_collections {
-            // Rung 4: grow the heap by one segment. Fallible — the hard
+            // Rung 3: grow the heap by one segment. Fallible — the hard
             // limit ([`HeapConfig::max_heap_bytes`]) or an injected
             // `heap.segment_reserve` fault may refuse; then the request
             // proceeds down the ladder instead of looping on growth.
             if gc.heap.try_grow() {
                 gc.tel.on_alloc_rung(EscalationRung::Grow);
                 self.grows += 1;
-                // Fresh space may unblock the cheap rungs again.
-                self.lazy_rungs = 0;
                 return Ok(());
             }
-            // Rung 5: wait — boundedly, and helping while waiting — for
+            // Rung 4: wait — boundedly, and helping while waiting — for
             // memory other threads are in the middle of freeing.
             if self.stall_rung(gc, shared, requested_bytes) {
                 return Ok(());
@@ -389,12 +363,10 @@ impl Escalation {
         gc.tel.on_alloc_rung(rung);
         gc.collect_for_alloc(Trigger::AllocationFailure, requested_bytes, shared);
         self.collections += 1;
-        // A collection may have unblocked the lazy rung again.
-        self.lazy_rungs = 0;
         Ok(())
     }
 
-    /// Rung 5: one bounded backpressure stall. The mutator waits up to
+    /// Rung 4: one bounded backpressure stall. The mutator waits up to
     /// [`GcConfig::alloc_stall_deadline`] for a free run large enough,
     /// helping the collector while it waits (lazy-sweep chunks, tracing
     /// increments like the §3 mutator duties, safepoint polls — a pause
@@ -454,7 +426,6 @@ impl Escalation {
                 segments_max,
                 segment_map,
                 ladder_iterations: self.iterations,
-                lazy_sweeps: self.lazy_rungs,
                 full_collections: self.collections,
                 grows: self.grows,
                 stalled: self.stalled,

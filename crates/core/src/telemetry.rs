@@ -16,18 +16,16 @@ use mcgc_telemetry::{Counter, Gauge, Telemetry};
 use crate::stats::CycleStats;
 use crate::tracing::TraceRole;
 
-/// Which rung of the allocation-failure escalation ladder ran (ISSUE:
-/// lazy-sweep progress → finish concurrent phase → full stop-the-world
-/// → grow the heap → bounded backpressure stall → typed OOM).
+/// Which rung of the allocation-failure escalation ladder ran (finish
+/// concurrent phase → full stop-the-world → grow the heap → bounded
+/// backpressure stall → typed OOM).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum EscalationRung {
-    /// Rung 1: lazy-sweep progress recovered memory without a pause.
-    LazySweep,
-    /// Rung 2: the concurrent phase was forced to completion.
+    /// Rung 1: the concurrent phase was forced to completion.
     FinishConcurrent,
-    /// Rung 3: a full stop-the-world collection from idle.
+    /// Rung 2: a full stop-the-world collection from idle.
     FullStw,
-    /// Rung 4: a new heap segment was committed (soft growth past the
+    /// Rung 3: a new heap segment was committed (soft growth past the
     /// initial arena, up to the hard limit).
     Grow,
 }
@@ -62,7 +60,6 @@ pub(crate) struct GcTelemetry {
     pool_input_claims: Arc<Counter>,
     pool_output_claims: Arc<Counter>,
     alloc_retries: Arc<Counter>,
-    alloc_rung_lazy: Arc<Counter>,
     alloc_rung_finish: Arc<Counter>,
     alloc_rung_stw: Arc<Counter>,
     alloc_rung_grow: Arc<Counter>,
@@ -179,7 +176,6 @@ impl GcTelemetry {
             pool_input_claims: c("gc_pool_input_claims_total"),
             pool_output_claims: c("gc_pool_output_claims_total"),
             alloc_retries: c("gc_alloc_retry_total"),
-            alloc_rung_lazy: c("gc_alloc_rung_lazy_total"),
             alloc_rung_finish: c("gc_alloc_rung_finish_total"),
             alloc_rung_stw: c("gc_alloc_rung_stw_total"),
             alloc_rung_grow: c("gc_alloc_rung_grow_total"),
@@ -322,7 +318,6 @@ impl GcTelemetry {
     /// One rung of the escalation ladder ran for a failing allocation.
     pub(crate) fn on_alloc_rung(&self, rung: EscalationRung) {
         match rung {
-            EscalationRung::LazySweep => self.alloc_rung_lazy.inc(),
             EscalationRung::FinishConcurrent => self.alloc_rung_finish.inc(),
             EscalationRung::FullStw => self.alloc_rung_stw.inc(),
             EscalationRung::Grow => self.alloc_rung_grow.inc(),

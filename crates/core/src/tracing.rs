@@ -107,6 +107,10 @@ impl Gc {
         // safe objects, defer unsafe ones. The prefetches `pop_batch`
         // issued read nothing into the program, so no header value is
         // taken before the fence.
+        // MODEL: alloc_model (crates/check) — scanning without this bit
+        // test is `AllocMutation::SkipBitTest`, caught as an uninitialised
+        // scan. The acquire fence is not modelled: the store-buffer model
+        // never reorders loads.
         safety.clear();
         safety.extend(batch.iter().map(|&o| self.heap.is_published(o)));
         acquire_fence(FenceKind::TraceBatch);

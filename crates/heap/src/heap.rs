@@ -675,13 +675,18 @@ impl Heap {
     /// Releases every non-initial segment whose granules sit entirely on
     /// the free list right now (occupancy-driven shrink) and returns how
     /// many went. A lazily drained epoch freed its extents chunk by
-    /// chunk; the next pause calls this before anything else. The list
-    /// is rebuilt only when a segment went, so that pause pays for a
-    /// rebuild only when it shrinks the heap.
+    /// chunk; the next pause calls this before anything else. With only
+    /// the initial segments committed there is nothing to release, and
+    /// the free list is not even read; otherwise it is rebuilt only when
+    /// a segment went, so a pause pays for a rebuild only when it shrinks
+    /// the heap.
     ///
     /// Must run under stop-the-world, after every allocation cache has
     /// been retired — the only context where "entirely free" is stable.
     pub fn release_empty_segments(&self) -> usize {
+        if self.table.segments_committed() == self.table.initial_segments() {
+            return 0;
+        }
         let mut extents = self.free.extents_sorted();
         let released = self.release_covered_segments(&mut extents);
         if released > 0 {
@@ -914,6 +919,9 @@ impl Heap {
             .fetch_add(std::mem::take(&mut cache.pending_bytes), Ordering::Relaxed);
         self.objects_allocated
             .fetch_add(cache.pending.len() as u64, Ordering::Relaxed);
+        // MODEL: alloc_model (crates/check) — deleting this fence is
+        // `AllocMutation::SkipPublishFence`: a bit visible before its
+        // object's initialising stores, caught as an uninitialised scan.
         release_fence(FenceKind::AllocBatch);
         self.alloc_bits.set_many(&cache.pending);
         cache.pending.clear();

@@ -68,11 +68,6 @@ pub fn inspect(heap: &Heap) -> HeapInspection {
     let total_bytes = heap.total_bytes();
     let free_bytes = heap.free_bytes();
     let largest_free_bytes = heap.largest_free_bytes();
-    let external_fragmentation = if free_bytes == 0 {
-        0.0
-    } else {
-        1.0 - largest_free_bytes as f64 / free_bytes as f64
-    };
     let cards = heap.cards();
     HeapInspection {
         total_bytes,
@@ -81,7 +76,7 @@ pub fn inspect(heap: &Heap) -> HeapInspection {
         occupancy: heap.occupancy(),
         free_extents: heap.free_extent_count(),
         largest_free_bytes,
-        external_fragmentation,
+        external_fragmentation: fragmentation(free_bytes, largest_free_bytes),
         shards: fl.shard_occupancy(),
         wilderness: fl.wilderness_occupancy(),
         classes: fl.class_occupancy(),
@@ -91,30 +86,54 @@ pub fn inspect(heap: &Heap) -> HeapInspection {
         objects_allocated: heap.objects_allocated(),
         segments: heap.segment_stats(),
         segment_map: heap.segment_map(),
-        lazy_unswept_chunks: heap.lazy_plan().map_or(0, |p| p.remaining_chunks()),
+        lazy_unswept_chunks: lazy_unswept_chunks(heap),
         sweep: heap.sweep_counters(),
     }
 }
 
-impl HeapInspection {
-    /// Emits this inspection into `rec` as counter points (Perfetto
-    /// counter tracks), timestamped now. Names carry the `heap_` prefix
-    /// so trace counters line up with the registry's gauge names.
-    pub fn record_counters(&self, rec: &SpanRecorder) {
-        rec.record_counter("heap_occupancy", self.occupancy);
-        rec.record_counter("heap_free_bytes", self.free_bytes as f64);
-        rec.record_counter("heap_largest_free_bytes", self.largest_free_bytes as f64);
-        rec.record_counter("heap_external_fragmentation", self.external_fragmentation);
-        rec.record_counter("heap_free_extents", self.free_extents as f64);
-        rec.record_counter("heap_dark_bytes", self.dark_bytes as f64);
-        rec.record_counter("heap_cards_dirty", self.cards_dirty as f64);
-        rec.record_counter("heap_segments_committed", self.segments.committed as f64);
-        rec.record_counter("heap_segments_peak", self.segments.peak as f64);
-        rec.record_counter("heap_segment_grows", self.segments.grows as f64);
-        rec.record_counter("heap_segment_shrinks", self.segments.shrinks as f64);
-        rec.record_counter("heap_lazy_unswept_chunks", self.lazy_unswept_chunks as f64);
-    }
+/// Emits `heap`'s occupancy into `rec` as counter points (Perfetto
+/// counter tracks), timestamped now: the twelve [`HeapInspection`]
+/// figures a trace plots, with the same values. Names carry the `heap_`
+/// prefix so trace counters line up with the registry's gauge names.
+///
+/// The caller supplies `cards_dirty`, so no card table is walked here
+/// (the pause epilogue passes its last card snapshot's count), and the
+/// per-shard and per-class histograms are not read.
+pub fn record_counters(heap: &Heap, cards_dirty: usize, rec: &SpanRecorder) {
+    let free_bytes = heap.free_bytes();
+    let largest_free_bytes = heap.largest_free_bytes();
+    let segments = heap.segment_stats();
+    rec.record_counter("heap_occupancy", heap.occupancy());
+    rec.record_counter("heap_free_bytes", free_bytes as f64);
+    rec.record_counter("heap_largest_free_bytes", largest_free_bytes as f64);
+    rec.record_counter(
+        "heap_external_fragmentation",
+        fragmentation(free_bytes, largest_free_bytes),
+    );
+    rec.record_counter("heap_free_extents", heap.free_extent_count() as f64);
+    rec.record_counter("heap_dark_bytes", heap.dark_bytes() as f64);
+    rec.record_counter("heap_cards_dirty", cards_dirty as f64);
+    rec.record_counter("heap_segments_committed", segments.committed as f64);
+    rec.record_counter("heap_segments_peak", segments.peak as f64);
+    rec.record_counter("heap_segment_grows", segments.grows as f64);
+    rec.record_counter("heap_segment_shrinks", segments.shrinks as f64);
+    rec.record_counter("heap_lazy_unswept_chunks", lazy_unswept_chunks(heap) as f64);
+}
 
+/// `1 - largest/free`, or 0 when nothing is free.
+fn fragmentation(free_bytes: usize, largest_free_bytes: usize) -> f64 {
+    if free_bytes == 0 {
+        0.0
+    } else {
+        1.0 - largest_free_bytes as f64 / free_bytes as f64
+    }
+}
+
+fn lazy_unswept_chunks(heap: &Heap) -> usize {
+    heap.lazy_plan().map_or(0, |p| p.remaining_chunks())
+}
+
+impl HeapInspection {
     /// A human-readable multi-line rendering (for `gc_top` and the
     /// `gc_trace` postmortem report).
     pub fn render(&self) -> String {
@@ -254,13 +273,22 @@ mod tests {
     fn counters_land_in_recorder() {
         let heap = build_heap();
         let rec = SpanRecorder::new(64);
-        inspect(&heap).record_counters(&rec);
+        let insp = inspect(&heap);
+        record_counters(&heap, insp.cards_dirty, &rec);
         let pts = rec.counter_points();
         assert_eq!(pts.len(), 12);
         assert!(pts.iter().all(|p| p.name.starts_with("heap_")));
-        assert!(pts
-            .iter()
-            .any(|p| p.name == "heap_occupancy" && p.value > 0.0));
+        let value = |name: &str| pts.iter().find(|p| p.name == name).unwrap().value;
+        assert!(value("heap_occupancy") > 0.0);
+        // The same values an inspection reports.
+        assert_eq!(value("heap_occupancy"), insp.occupancy);
+        assert_eq!(value("heap_free_bytes"), insp.free_bytes as f64);
+        assert_eq!(value("heap_free_extents"), insp.free_extents as f64);
+        assert_eq!(
+            value("heap_external_fragmentation"),
+            insp.external_fragmentation
+        );
+        assert_eq!(value("heap_cards_dirty"), insp.cards_dirty as f64);
     }
 
     #[test]

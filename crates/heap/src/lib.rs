@@ -51,9 +51,9 @@ pub use freelist::{Extent, FreeList};
 pub use heap::{
     AllocCache, AllocError, Heap, HeapConfig, ObjectShape, SegmentStats, SweepCounters,
 };
-pub use inspect::{inspect, HeapInspection};
+pub use inspect::{inspect, record_counters, HeapInspection};
 pub use object::{Header, ObjectRef, CARD_BYTES, GRANULES_PER_CARD, GRANULE_BYTES};
 pub use segment::{HeapBitmap, HeapCards, SegmentTable, SEGMENT_ALIGN_GRANULES};
 pub use shards::{AllocShardStats, BinOccupancy, ShardedFreeList};
-pub use sweep::{sweep_serial, SweepEpoch, SweepSource, SweepStats, DEFAULT_CHUNK_GRANULES};
+pub use sweep::{sweep_serial, SweepEpoch, SweepSource, SweepStats, SWEEP_CHUNK_GRANULES};
 pub use verify::{assert_heap_valid, verify, verify_marks_clear, verify_tricolor, Violation};

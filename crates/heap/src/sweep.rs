@@ -35,8 +35,9 @@ use crate::freelist::Extent;
 use crate::heap::Heap;
 use crate::object::{Header, ObjectRef};
 
-/// Default sweep chunk size in granules (512 KiB of heap).
-pub const DEFAULT_CHUNK_GRANULES: usize = 64 << 10;
+/// Sweep chunk size in granules (128 KiB of heap): the unit the
+/// collector's sweep epochs claim, eager or lazy.
+pub const SWEEP_CHUNK_GRANULES: usize = 16 << 10;
 
 /// The result of sweeping one chunk.
 #[derive(Debug, Default)]
@@ -973,7 +974,7 @@ mod tests {
                 heap.mark(o);
             }
         }
-        sweep_serial(&heap, DEFAULT_CHUNK_GRANULES);
+        sweep_serial(&heap, SWEEP_CHUNK_GRANULES);
         // Allocation proceeds into the recovered space.
         let mut cache = AllocCache::new();
         let mut count = 0;

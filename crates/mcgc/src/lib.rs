@@ -12,8 +12,8 @@
 //!   mechanism (§4);
 //! * [`heap`](mcgc_heap) — the heap substrate (granule arena, allocation
 //!   and mark bit vectors, card table, free list, bitwise sweep);
-//! * [`membar`](mcgc_membar) — counted fences and the weak-memory litmus
-//!   simulator (§5);
+//! * [`membar`](mcgc_membar) — counted fences and the lock shims (§5;
+//!   the fences' weak-memory models live in `crates/check`);
 //! * [`telemetry`](mcgc_telemetry) — live observability: the span flight
 //!   recorder, pause/increment histograms, and the metrics registry;
 //! * [`workloads`](mcgc_workloads) — SPECjbb/pBOB/javac-like synthetic
@@ -53,7 +53,7 @@ pub mod packets {
     pub use mcgc_packets::*;
 }
 
-/// Fence accounting and the weak-memory simulator (§5).
+/// Fence accounting (§5) and the lock shims.
 pub mod membar {
     pub use mcgc_membar::*;
 }

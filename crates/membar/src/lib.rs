@@ -1,5 +1,4 @@
-//! Weak-ordering support: counted memory fences and a store-buffer
-//! weak-memory simulator (paper §5).
+//! Weak-ordering support: counted memory fences (paper §5).
 //!
 //! The paper's third contribution is keeping the number of expensive
 //! multi-cycle fence instructions low on weakly-ordered hardware:
@@ -13,13 +12,16 @@
 //! * [`fence`] — issue a real fence, attributed to a [`FenceKind`] so the
 //!   benchmark harness can reproduce the paper's fence-reduction claims
 //!   ([`FenceStats`] snapshots the counters);
-//! * [`weaksim`] — an operational store-buffer memory model used to show
-//!   that the §5.2/§5.3 anomalies occur without the protocols and cannot
-//!   occur with them (see [`litmus`]).
+//! * [`seqlock_write_fence`] / [`seqlock_read_fence`] — the telemetry
+//!   rings' uncounted fences;
+//! * [`sync`] — the std-backed lock shims the collector uses.
+//!
+//! That the fences are load-bearing — each §5 anomaly occurs without its
+//! protocol and cannot occur with it — is shown by the store-buffer
+//! models in `crates/check` (`pool_model` §5.1, `alloc_model` §5.2,
+//! `barrier_model` §5.3).
 
-pub mod litmus;
 pub mod sync;
-pub mod weaksim;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

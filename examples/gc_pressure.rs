@@ -11,7 +11,7 @@
 //! raise the committed-segment count past the initial reservation, and
 //! every trough must return segments — the process exits non-zero
 //! otherwise. The optional JSON output carries the machine-readable
-//! summary that CI appends to EXPERIMENTS.md.
+//! summary that CI uploads as an artifact.
 
 use mcgc::{Gc, GcConfig, ObjectShape};
 

@@ -144,9 +144,8 @@ fn main() {
     let g = |name: &str| metric(&m, name) as u64;
     println!("\n--- degraded-mode counters ---");
     println!(
-        "alloc ladder : {} retries, rungs lazy/finish/stw {}/{}/{}, {} OOMs",
+        "alloc ladder : {} retries, rungs finish/stw {}/{}, {} OOMs",
         g("gc_alloc_retry_total"),
-        g("gc_alloc_rung_lazy_total"),
         g("gc_alloc_rung_finish_total"),
         g("gc_alloc_rung_stw_total"),
         g("gc_alloc_oom_total"),

@@ -88,8 +88,9 @@ fn counters(gc: &Arc<Gc>) -> BTreeMap<String, f64> {
 
 /// Refill failures force `alloc_small_slow` onto the escalation ladder:
 /// the retry and rung counters must tick, and the heap must still audit
-/// clean. Exercised in both sweep modes because the ladder's first rung
-/// (lazy-sweep progress) only exists under `SweepMode::Lazy`.
+/// clean. Exercised in both sweep modes: an injected refill failure
+/// returns before the refill sweeps, so under `SweepMode::Lazy` the
+/// epoch it leaves unswept is drained by `collect_for_alloc` instead.
 #[test]
 fn refill_faults_escalate_and_stay_sound() {
     for (seed, sweep) in [(0xA110C1u64, SweepMode::Eager), (0xA110C2, SweepMode::Lazy)] {
@@ -102,9 +103,7 @@ fn refill_faults_escalate_and_stay_sound() {
             assert!(fault::fires(site::HEAP_REFILL) > 0, "plan never fired");
             let s = counters(&gc);
             assert!(s["gc_alloc_retry_total"] >= 1.0, "ladder never re-entered");
-            let rungs = s["gc_alloc_rung_lazy_total"]
-                + s["gc_alloc_rung_finish_total"]
-                + s["gc_alloc_rung_stw_total"];
+            let rungs = s["gc_alloc_rung_finish_total"] + s["gc_alloc_rung_stw_total"];
             assert!(rungs >= 1.0, "no escalation rung recorded");
             gc.audit_now();
             gc.shutdown();

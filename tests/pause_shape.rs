@@ -6,6 +6,7 @@
 
 use std::time::Duration;
 
+use mcgc::heap::SWEEP_CHUNK_GRANULES;
 use mcgc::telemetry::{Span, SpanKind};
 use mcgc::workloads::jbb::{self, run_standalone, JbbOptions};
 use mcgc::workloads::RunReport;
@@ -201,7 +202,7 @@ fn lazy_cgc_pause_has_no_bulk_sweep_phase() {
     let (lazy, lazy_pauses, lazy_chunks) =
         run_counting_chunks_in_pauses(CollectorMode::Concurrent, |c| c.sweep = SweepMode::Lazy);
     assert!(lazy.log.cycles.len() >= 3, "{}", lazy.log.cycles.len());
-    let total_chunks: u64 = (HEAP / 8) as u64 / GcConfig::default().sweep_chunk_granules as u64;
+    let total_chunks: u64 = (HEAP / 8) as u64 / SWEEP_CHUNK_GRANULES as u64;
     for c in &lazy.log.cycles {
         // The pause's sweep step only *publishes* the epoch (snapshot +
         // per-chunk claim states); reclamation happens off-pause via
