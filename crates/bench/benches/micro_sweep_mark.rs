@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the heap substrate: bitwise sweep throughput
-//! (serial vs parallel), mark-bit operations, the write barrier, and
+//! (serial vs parallel, and a minor cycle's epoch replaying the chunk
+//! memos of the one before), mark-bit operations, the write barrier, and
 //! small allocation (heap bump path and `Mutator::alloc`).
 //! Self-timed with `std::time::Instant` (no external harness) so the
 //! workspace builds hermetically.
@@ -7,7 +8,10 @@
 use std::time::Instant;
 
 use mcgc_core::{CollectorMode, Gc, GcConfig};
-use mcgc_heap::{sweep_serial, AllocCache, Heap, HeapConfig, ObjectShape, SweepEpoch, SweepSource};
+use mcgc_heap::{
+    sweep_serial, AllocCache, Heap, HeapConfig, ObjectShape, SweepEpoch, SweepSource, SweepStats,
+    SWEEP_CHUNK_GRANULES,
+};
 
 /// Times `iters` runs of `setup` + `f` and prints the mean of `f` alone
 /// (setup and the input's teardown excluded), as ns/iter and MB/s over
@@ -75,6 +79,17 @@ fn build_heap(heap_bytes: usize, live_every: u32) -> Heap {
     heap
 }
 
+/// One eager epoch at the collector's chunk size that keeps its marks,
+/// as a pause ahead of a minor cycle does: it records every chunk's
+/// memo, and an epoch planned after it replays the chunks nothing was
+/// allocated in since.
+fn sweep_keeping_marks(heap: &Heap) -> SweepStats {
+    let epoch = SweepEpoch::new(heap, SWEEP_CHUNK_GRANULES).keeping_marks(true);
+    epoch.drain(heap, SweepSource::Pause);
+    heap.settle_drained_epoch(&epoch);
+    heap.retire_epoch(&epoch)
+}
+
 fn sweep_throughput() {
     let heap_bytes = 16 << 20;
     for (name, live_every) in [("60pct_live", 2u32), ("sparse_live", 16)] {
@@ -103,6 +118,22 @@ fn sweep_throughput() {
                 });
                 heap.settle_drained_epoch(&epoch);
                 std::hint::black_box(heap.retire_epoch(&epoch));
+            },
+        );
+        // A kept-marks epoch off the clock, then a replaying one on it.
+        bench_batched(
+            &format!("sweep/replay/{name}"),
+            6,
+            heap_bytes as u64,
+            || {
+                let heap = build_heap(heap_bytes, live_every);
+                sweep_keeping_marks(&heap);
+                heap
+            },
+            |heap| {
+                std::hint::black_box(sweep_keeping_marks(heap));
+                let chunks = heap.granules().div_ceil(SWEEP_CHUNK_GRANULES) as u64;
+                assert_eq!(heap.sweep_counters().replayed_chunks, chunks);
             },
         );
     }

@@ -1220,6 +1220,10 @@ impl Gc {
         //    absorbs the drain loop's re-clean passes below.
         let retire_wall = retire.finish();
         let cards = self.coord_span(SpanKind::PauseCards, 0);
+        // With the world stopped, only §4.3 overflow dirties a card
+        // (`Gc::overflow_to_card`, which counts it first); the drain loop
+        // below re-snapshots the table only when this count has moved.
+        let mut overflows_seen = self.counters.overflows.load(Ordering::Relaxed);
         let (cards_left, stw_clean_work) = self.stw_clean_cards(&session, fresh);
         let mut cards_wall = cards.finish();
 
@@ -1234,8 +1238,10 @@ impl Gc {
 
         // 4. Complete marking in parallel (§2.2; marker similar to Endo
         //    et al.). Packet overflow during this drain falls back to
-        //    mark-and-dirty-card (§4.3), so iterate: after each drain,
-        //    clean any cards dirtied by overflow and drain again.
+        //    mark-and-dirty-card (§4.3), so iterate: after each drain
+        //    that overflowed (or followed an overflow in the cleaning,
+        //    root or re-clean work before it), snapshot the cards (timed
+        //    with the drain), clean the dirty ones and drain again.
         //    Marking is monotone, so this terminates.
         let stw_traced_before = self.counters.traced_stw.load(Ordering::Relaxed);
         let mut extra_clean_ms = 0.0;
@@ -1245,11 +1251,24 @@ impl Gc {
         loop {
             let drain = self.coord_span(SpanKind::PauseDrain, drain_round);
             self.drain_marking_parallel(&session);
-            drain_wall += drain.finish();
             redirty.clear();
-            self.heap
-                .cards()
-                .snapshot_dirty(0, self.heap.cards().len(), &mut redirty);
+            let overflows = self.counters.overflows.load(Ordering::Relaxed);
+            if overflows != overflows_seen {
+                overflows_seen = overflows;
+                self.heap
+                    .cards()
+                    .snapshot_dirty(0, self.heap.cards().len(), &mut redirty);
+            } else {
+                // verify-gc: no overflow since the last snapshot, so no
+                // card can be dirty.
+                #[cfg(feature = "verify-gc")]
+                assert_eq!(
+                    self.heap.cards().count_dirty(),
+                    0,
+                    "dirty cards but no overflow since the last snapshot"
+                );
+            }
+            drain_wall += drain.finish();
             if redirty.is_empty() {
                 break;
             }
@@ -1277,6 +1296,8 @@ impl Gc {
         //    bytes alone would underestimate `L`, shrink the kickoff
         //    threshold, and spiral into ever-later kickoffs. Only the
         //    concurrent collector runs minor cycles.
+        //    Timed under the sweep span, whose epoch carries the plan.
+        let sweep = self.coord_span(SpanKind::PauseSweep, u64::from(!drain_now));
         let c = &self.counters;
         let traced = c.traced_concurrent() + c.traced_stw.load(Ordering::Relaxed);
         let next = {
@@ -1306,7 +1327,6 @@ impl Gc {
         //    reclamation is paid off-pause by sweep-on-refill and the
         //    background sweeper, and the *next* cycle's fence only
         //    finishes stragglers.
-        let sweep = self.coord_span(SpanKind::PauseSweep, u64::from(!drain_now));
         let epoch = SweepEpoch::new(&self.heap, mcgc_heap::SWEEP_CHUNK_GRANULES)
             .with_recorder(Arc::clone(self.tel.hub.spans()))
             .keeping_marks(next == CycleKind::Minor);
@@ -1337,10 +1357,10 @@ impl Gc {
         //    totals then.
         let clear = self.coord_span(SpanKind::PauseClear, 0);
         let swept = drained.map_or_else(Default::default, |e| self.heap.retire_epoch(&e));
-        let clear_wall = clear.finish();
         // Last bucket drained: close the session so the workers park
         // (the accounting below is leader-only).
         drop(session);
+        let clear_wall = clear.finish();
 
         // 8. Account the cycle.
         let account = self.coord_span(SpanKind::PauseAccount, 0);
@@ -1436,9 +1456,11 @@ impl Gc {
         //    trace's counter tracks (still inside the accounting span),
         //    close the pause, then record the enclosing cycle span —
         //    begin = kickoff — so pause phases nest under their cycle.
-        //    The drain loop's last card snapshot found the table clean,
-        //    and nothing in the pause dirties a card after it, so its
-        //    count is the dirty-card point: no table walk here.
+        //    The drain loop ends with the table clean (its last snapshot
+        //    found no card, or no overflow dirtied one since the last
+        //    snapshot), and nothing in the pause dirties a card after it,
+        //    so `redirty` is empty and its count is the dirty-card point:
+        //    no table walk here.
         if spans.is_enabled() {
             mcgc_heap::record_counters(&self.heap, redirty.len(), spans);
         }

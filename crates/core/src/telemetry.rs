@@ -110,6 +110,7 @@ pub(crate) struct GcTelemetry {
     //    atomics (same pull style as the segment grow/shrink counters) --
     sweep_refill_chunks: Arc<Gauge>,
     sweep_bg_chunks: Arc<Gauge>,
+    sweep_replayed_chunks: Arc<Gauge>,
     sweep_on_pause_granules: Arc<Gauge>,
     sweep_off_pause_granules: Arc<Gauge>,
     // -- worst-pause postmortem (refreshed by telemetry_sample from the
@@ -220,6 +221,7 @@ impl GcTelemetry {
             alloc_wilderness_refills: g("heap_alloc_wilderness_refills_total"),
             sweep_refill_chunks: g("gc_sweep_on_refill_chunks_total"),
             sweep_bg_chunks: g("gc_bg_sweep_chunks_total"),
+            sweep_replayed_chunks: g("gc_sweep_chunks_replayed_total"),
             sweep_on_pause_granules: g("gc_sweep_reclaimed_on_pause_granules_total"),
             sweep_off_pause_granules: g("gc_sweep_reclaimed_off_pause_granules_total"),
             postmortem_coverage: g("gc_postmortem_coverage"),
@@ -435,6 +437,7 @@ impl GcTelemetry {
             .set_u64(alloc.wilderness_refills);
         self.sweep_refill_chunks.set_u64(sweep.refill_chunks);
         self.sweep_bg_chunks.set_u64(sweep.bg_chunks);
+        self.sweep_replayed_chunks.set_u64(sweep.replayed_chunks);
         self.sweep_on_pause_granules
             .set_u64(sweep.on_pause_granules);
         self.sweep_off_pause_granules

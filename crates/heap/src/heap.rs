@@ -18,7 +18,7 @@ use crate::freelist::Extent;
 use crate::object::{Header, ObjectRef, GRANULE_BYTES, MAX_OBJECT_GRANULES};
 use crate::segment::{BitKind, HeapBitmap, HeapCards, SegmentTable, SEGMENT_ALIGN_GRANULES};
 use crate::shards::{AllocShardStats, ShardedFreeList};
-use crate::sweep::{SweepEpoch, SweepSource, SweepStats};
+use crate::sweep::{ChunkMemos, SweepEpoch, SweepSource, SweepStats};
 
 /// Heap sizing and allocation parameters.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -248,6 +248,9 @@ pub struct SweepCounters {
     pub straggler_chunks: u64,
     /// Chunks swept by the mutator escalation ladder (and tests).
     pub escalation_chunks: u64,
+    /// Chunks replayed from their memo instead of swept, on any path
+    /// (each also counts as a chunk of the path that claimed it).
+    pub replayed_chunks: u64,
     /// Granules reclaimed on the pause path (eager sweeps + stragglers).
     pub on_pause_granules: u64,
     /// Granules reclaimed concurrently with the mutators.
@@ -260,6 +263,7 @@ struct SweepTotals {
     bg_chunks: AtomicU64,
     straggler_chunks: AtomicU64,
     escalation_chunks: AtomicU64,
+    replayed_chunks: AtomicU64,
     on_pause_granules: AtomicU64,
     off_pause_granules: AtomicU64,
 }
@@ -297,6 +301,8 @@ pub struct Heap {
     marks_kept: AtomicBool,
     /// Cumulative sweep accounting (see [`SweepCounters`]).
     sweep_totals: SweepTotals,
+    /// Per-chunk sweep memos and hand-out flags, for replay.
+    memos: ChunkMemos,
 }
 
 /// Picks the segment size in granules: the explicit knob, or roughly an
@@ -371,6 +377,7 @@ impl Heap {
             lazy_active: AtomicBool::new(false),
             marks_kept: AtomicBool::new(false),
             sweep_totals: SweepTotals::default(),
+            memos: ChunkMemos::new(max_granules),
         }
     }
 
@@ -551,6 +558,7 @@ impl Heap {
             bg_chunks: t.bg_chunks.load(Ordering::Relaxed),
             straggler_chunks: t.straggler_chunks.load(Ordering::Relaxed),
             escalation_chunks: t.escalation_chunks.load(Ordering::Relaxed),
+            replayed_chunks: t.replayed_chunks.load(Ordering::Relaxed),
             on_pause_granules: t.on_pause_granules.load(Ordering::Relaxed),
             off_pause_granules: t.off_pause_granules.load(Ordering::Relaxed),
         }
@@ -572,6 +580,18 @@ impl Heap {
             chunks.fetch_add(1, Ordering::Relaxed);
         }
         granules.fetch_add(freed_granules, Ordering::Relaxed);
+    }
+
+    /// Counts one chunk replayed from its memo.
+    pub(crate) fn note_replay(&self) {
+        self.sweep_totals
+            .replayed_chunks
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The per-chunk sweep memos and hand-out flags.
+    pub(crate) fn chunk_memos(&self) -> &ChunkMemos {
+        &self.memos
     }
 
     /// Retires a fully drained sweep epoch — the step every epoch ends
@@ -642,6 +662,7 @@ impl Heap {
         // The whole fresh segment is free space. (Granule 0 lives in
         // segment 0, which is initial — grown segments reserve nothing.)
         let sg = self.table.seg_granules();
+        self.memos.note_handed_out(si * sg, sg);
         self.free.free(si * sg, sg);
         true
     }
@@ -731,6 +752,7 @@ impl Heap {
                 continue; // injected release failure: segment stays
             }
             subtract_range(extents, base, base + sg);
+            self.memos.note_handed_out(base, sg);
             self.table.release(si);
             released += 1;
         }
@@ -962,6 +984,7 @@ impl Heap {
         let mut size = want;
         loop {
             if let Some(start) = self.free.alloc_local(size, cache.home) {
+                self.memos.note_handed_out(start, size);
                 cache.start = start;
                 cache.cursor = start;
                 cache.end = start + size;
@@ -983,6 +1006,7 @@ impl Heap {
                 }
             }
             if let Some(start) = self.free.alloc(size, &mut cache.home) {
+                self.memos.note_handed_out(start, size);
                 cache.start = start;
                 cache.cursor = start;
                 cache.end = start + size;
@@ -1058,6 +1082,7 @@ impl Heap {
                 }
             },
         };
+        self.memos.note_handed_out(start, need);
         self.format_object(start, shape);
         release_fence(FenceKind::LargeAlloc);
         self.alloc_bits.set(start);

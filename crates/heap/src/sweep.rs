@@ -23,9 +23,26 @@
 //! order, when the drain is done ([`Heap::settle_drained_epoch`]).
 //! Either way the epoch ends in [`Heap::retire_epoch`].
 //!
+//! **Replay.** Between minor cycles most chunks do not change: a minor
+//! cycle keeps the marks (sticky mark bits), so a chunk that nothing was
+//! allocated in since its last sweep holds the same marked objects, the
+//! same carry-in and the same gaps, and its allocation bits already
+//! equal its mark bits. An epoch that keeps its marks therefore records
+//! each chunk's result in a memo ([`ChunkMemos`]), and the next epoch,
+//! planned while those marks are still kept, replays the memo instead of
+//! reading the chunk's headers again when three things hold: the memo
+//! came from the immediately preceding epoch, it covers the same
+//! plan-time mapped ranges, and no granule of the chunk has been handed
+//! out since. Handing out is one per-chunk flag, set by every path that
+//! takes space off the free list or commits or releases a segment, and
+//! cleared by the chunk's own sweep before its extents reach the free
+//! list. Planning an epoch empties the free list, so nothing in a chunk
+//! can be handed out before the epoch sweeps (or replays) it. A replay
+//! frees the same extents and adds the same counts as a sweep would.
+//!
 //! [`Bitmap::prev_set`]: crate::bitmap::Bitmap::prev_set
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mcgc_membar::sync::Mutex;
@@ -40,7 +57,7 @@ use crate::object::{Header, ObjectRef};
 pub const SWEEP_CHUNK_GRANULES: usize = 16 << 10;
 
 /// The result of sweeping one chunk.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, PartialEq, Eq)]
 struct ChunkSweep {
     /// Free extents found inside the chunk, address-ordered. Extents at
     /// the chunk edges stop at the chunk boundary; the free list coalesces
@@ -148,6 +165,160 @@ impl ChunkSweep {
 /// Number of sweep chunks for `heap` at the given chunk size.
 pub fn chunk_count(heap: &Heap, chunk_granules: usize) -> usize {
     heap.granules().div_ceil(chunk_granules)
+}
+
+// A memo stores extent offsets and lengths as `u16`.
+const _: () = assert!(SWEEP_CHUNK_GRANULES <= u16::MAX as usize);
+
+/// The heap's replay state (see the module docs), one entry per
+/// [`SWEEP_CHUNK_GRANULES`] chunk of the heap's maximum extent. Epochs
+/// of any other chunk size neither read nor write it.
+#[derive(Debug)]
+pub(crate) struct ChunkMemos {
+    /// Set when a granule of the chunk leaves the free list, or its
+    /// segment is committed or released; cleared by a recording sweep of
+    /// the chunk before its extents reach the free list. Relaxed: a
+    /// hand-out of the chunk's extents follows the clear through the
+    /// free-list shard lock that passed them on, and every set reaches
+    /// the next epoch's claimant through the stop-the-world pause that
+    /// plans the epoch and the lock that publishes it.
+    handed_out: Box<[AtomicBool]>,
+    memos: Box<[Mutex<ChunkMemo>]>,
+    /// Sequence number of the last epoch planned on the heap.
+    planned: AtomicU64,
+}
+
+/// One chunk's last recorded sweep.
+#[derive(Debug, Default)]
+struct ChunkMemo {
+    /// Sequence number of the epoch that recorded it (or replayed it and
+    /// recorded again); 0 before any.
+    epoch: u64,
+    /// The plan-time mapped ranges the sweep covered.
+    ranges: Vec<(usize, usize)>,
+    /// Free extents, as offset from the chunk start and length: four
+    /// bytes each.
+    extents: Vec<(u16, u16)>,
+    live_granules: usize,
+    live_objects: usize,
+    dark_granules: usize,
+}
+
+impl ChunkMemos {
+    pub(crate) fn new(max_granules: usize) -> ChunkMemos {
+        let chunks = max_granules.div_ceil(SWEEP_CHUNK_GRANULES);
+        ChunkMemos {
+            handed_out: (0..chunks).map(|_| AtomicBool::new(true)).collect(),
+            memos: (0..chunks).map(|_| Mutex::default()).collect(),
+            planned: AtomicU64::new(0),
+        }
+    }
+
+    /// Notes that granules `[start, start + len)` were handed out: the
+    /// memos of the chunks they overlap no longer describe them.
+    #[inline]
+    pub(crate) fn note_handed_out(&self, start: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let (first, last) = (
+            start / SWEEP_CHUNK_GRANULES,
+            (start + len - 1) / SWEEP_CHUNK_GRANULES,
+        );
+        for flag in &self.handed_out[first..=last] {
+            if !flag.load(Ordering::Relaxed) {
+                flag.store(true, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Stores chunk `c`'s sweep result for the next epoch, recorded by
+    /// epoch `seq`, and clears its hand-out flag: the caller frees the
+    /// chunk's extents only afterwards.
+    fn record(&self, c: usize, seq: u64, ranges: &[(usize, usize)], cs: &ChunkSweep) {
+        self.handed_out[c].store(false, Ordering::Relaxed);
+        let base = c * SWEEP_CHUNK_GRANULES;
+        let mut memo = self.memos[c].lock();
+        // Stamped last: a record cut short leaves no memo to replay.
+        memo.epoch = 0;
+        memo.ranges.clear();
+        memo.ranges.extend_from_slice(ranges);
+        memo.extents.clear();
+        memo.extents.extend(
+            cs.extents
+                .iter()
+                .map(|e| ((e.start - base) as u16, e.len as u16)),
+        );
+        memo.live_granules = cs.live_granules;
+        memo.live_objects = cs.live_objects;
+        memo.dark_granules = cs.dark_granules;
+        memo.epoch = seq;
+    }
+
+    /// Chunk `c`'s result as recorded by epoch `prev`, if `ranges` are
+    /// the ranges it covered and nothing in the chunk was handed out
+    /// since; `restamp` re-records it as epoch `restamp`'s.
+    fn replay(
+        &self,
+        c: usize,
+        prev: u64,
+        ranges: &[(usize, usize)],
+        restamp: Option<u64>,
+    ) -> Option<ChunkSweep> {
+        if self.handed_out[c].load(Ordering::Relaxed) {
+            return None;
+        }
+        let mut memo = self.memos[c].lock();
+        if memo.epoch != prev || memo.ranges != ranges {
+            return None;
+        }
+        if let Some(seq) = restamp {
+            memo.epoch = seq;
+        }
+        let base = c * SWEEP_CHUNK_GRANULES;
+        Some(ChunkSweep {
+            extents: memo
+                .extents
+                .iter()
+                .map(|&(off, len)| Extent {
+                    start: base + off as usize,
+                    len: len as usize,
+                })
+                .collect(),
+            live_granules: memo.live_granules,
+            live_objects: memo.live_objects,
+            dark_granules: memo.dark_granules,
+        })
+    }
+}
+
+/// The `sweep-replay` audit (verify-gc): a replayed chunk's allocation
+/// bits equal its mark bits — so a sweep of it clears nothing and has no
+/// side effects — and sweeping it afresh finds exactly the memo.
+///
+/// # Panics
+/// Panics, naming the chunk, on any mismatch.
+#[cfg(feature = "verify-gc")]
+fn audit_replay(heap: &Heap, c: usize, ranges: &[(usize, usize)], replayed: &ChunkSweep) {
+    let (alloc, marks) = (heap.alloc_bits(), heap.mark_bits());
+    for &(s, e) in ranges {
+        for w in s / 64..e.div_ceil(64) {
+            let lo = (w * 64).max(s) - w * 64;
+            let hi = ((w + 1) * 64).min(e) - w * 64;
+            let in_range = (!0u64 << lo) & (!0u64 >> (64 - hi));
+            let stale = (alloc.load_word(w) ^ marks.load_word(w)) & in_range;
+            assert!(
+                stale == 0,
+                "sweep-replay audit: chunk {c}: allocation and mark bits differ at granule {}",
+                w * 64 + stale.trailing_zeros() as usize
+            );
+        }
+    }
+    let fresh = sweep_ranges(heap, ranges);
+    assert!(
+        fresh == *replayed,
+        "sweep-replay audit: chunk {c}: replayed {replayed:?}, a fresh sweep finds {fresh:?}"
+    );
 }
 
 /// Totals of a sweep epoch, summed over its chunk results.
@@ -284,6 +455,12 @@ pub struct SweepEpoch {
     recorder: Option<Arc<SpanRecorder>>,
     /// Retirement keeps the mark bits: the next cycle is minor.
     keep_marks: bool,
+    /// This epoch's sequence number on its heap.
+    seq: u64,
+    /// The epoch whose chunk memos this one may replay: the preceding
+    /// one, when the heap's marks were kept since it retired. `None` for
+    /// chunk sizes other than [`SWEEP_CHUNK_GRANULES`].
+    replay_from: Option<u64>,
 }
 
 impl SweepEpoch {
@@ -291,10 +468,16 @@ impl SweepEpoch {
     /// free space (including extents known before the collection) is
     /// rediscovered chunk by chunk, so allocation gradually recovers as
     /// chunks are swept.
+    ///
+    /// Planned while the heap keeps the previous epoch's marks
+    /// ([`Heap::marks_kept`]: a minor cycle's pause), the epoch replays
+    /// the memos that epoch recorded (see the module docs).
     pub fn new(heap: &Heap, chunk_granules: usize) -> SweepEpoch {
         heap.free_list().rebuild(std::iter::empty());
         let total = chunk_count(heap, chunk_granules);
         let mapped = heap.mapped_ranges(1, heap.granules());
+        let seq = heap.chunk_memos().planned.fetch_add(1, Ordering::Relaxed) + 1;
+        let replay = chunk_granules == SWEEP_CHUNK_GRANULES && heap.marks_kept();
         SweepEpoch {
             chunk_granules,
             next: AtomicUsize::new(0),
@@ -310,6 +493,8 @@ impl SweepEpoch {
             held: Mutex::new(Vec::new()),
             recorder: None,
             keep_marks: false,
+            seq,
+            replay_from: replay.then(|| seq - 1),
         }
     }
 
@@ -343,7 +528,9 @@ impl SweepEpoch {
 
     /// Records whether the cycle after this epoch's is minor: if so,
     /// [`Heap::retire_epoch`] keeps the mark bits (sticky mark bits, so
-    /// the survivors stay black), else it clears them.
+    /// the survivors stay black), else it clears them. An epoch that
+    /// keeps them records each chunk's result for the next epoch to
+    /// replay.
     pub fn keeping_marks(mut self, keep: bool) -> SweepEpoch {
         self.keep_marks = keep;
         self
@@ -428,9 +615,10 @@ impl SweepEpoch {
             .is_ok()
     }
 
-    /// Sweeps an already-claimed chunk, publishes its state, frees its
-    /// extents (or adds them to `held`, for [`SweepSource::Pause`]), adds
-    /// its results to the epoch's sums, and counts it done.
+    /// Sweeps (or replays) an already-claimed chunk, publishes its state,
+    /// frees its extents (or adds them to `held`, for
+    /// [`SweepSource::Pause`]), adds its results to the epoch's sums,
+    /// and counts it done.
     fn sweep_claimed(&self, heap: &Heap, c: usize, source: SweepSource, held: &mut HeldRuns) {
         let _span = self
             .recorder
@@ -449,7 +637,28 @@ impl SweepEpoch {
                 (s < e).then_some((s, e))
             })
             .collect();
-        let cs = sweep_ranges(heap, &ranges);
+        let memos = heap.chunk_memos();
+        // An epoch that keeps its marks records (or restamps) each memo.
+        let restamp =
+            (self.keep_marks && self.chunk_granules == SWEEP_CHUNK_GRANULES).then_some(self.seq);
+        let replayed = self
+            .replay_from
+            .and_then(|prev| memos.replay(c, prev, &ranges, restamp));
+        let cs = match replayed {
+            Some(cs) => {
+                #[cfg(feature = "verify-gc")]
+                audit_replay(heap, c, &ranges, &cs);
+                heap.note_replay();
+                cs
+            }
+            None => {
+                let cs = sweep_ranges(heap, &ranges);
+                if let Some(seq) = restamp {
+                    memos.record(c, seq, &ranges, &cs);
+                }
+                cs
+            }
+        };
         // SWEPT is published *before* the extents hit the free list so a
         // concurrent free-list audit never sees an extent inside a chunk
         // it still considers unswept (the converse — swept but extents in
@@ -964,6 +1173,280 @@ mod tests {
         assert!(heap.sweep_counters().refill_chunks >= 1);
         assert!(heap.sweep_counters().off_pause_granules >= 1);
         heap.retire_cache(&mut cache);
+    }
+
+    /// Replay tests: a heap whose epochs keep their marks (`replaying`:
+    /// its next epoch replays the memos) and an identical twin whose
+    /// epochs clear them and mark the same survivors again (`fresh`: it
+    /// sweeps every chunk). Both run the same mutations and epochs, and
+    /// must end every epoch with the same free list, allocation bits,
+    /// dark matter and `SweepStats`.
+    struct Twins {
+        replaying: Heap,
+        fresh: Heap,
+        objs: Vec<ObjectRef>,
+    }
+
+    const CG: usize = SWEEP_CHUNK_GRANULES;
+
+    impl Twins {
+        /// Two 1 MiB heaps (eight memo-sized chunks), filled with small
+        /// objects of mixed sizes, with every object for which
+        /// `live(index, granule)` holds marked; then one recording epoch.
+        fn new(
+            max_heap_bytes: usize,
+            segment_bytes: usize,
+            live: impl Fn(usize, usize) -> bool,
+        ) -> Twins {
+            let build = || {
+                let heap = Heap::new(HeapConfig {
+                    heap_bytes: 1 << 20,
+                    max_heap_bytes,
+                    cache_bytes: 8 << 10,
+                    large_object_bytes: 4 << 10,
+                    min_free_extent_granules: 2,
+                    alloc_shards: 4,
+                    segment_bytes,
+                });
+                let mut cache = AllocCache::new();
+                let mut objs = Vec::new();
+                for i in 0u32.. {
+                    let shape = ObjectShape::new(i % 3, i % 5, 1);
+                    match heap.alloc_small(&mut cache, shape) {
+                        Some(o) => objs.push(o),
+                        None if heap.refill_cache(&mut cache, shape.granules()) => {}
+                        None => break,
+                    }
+                }
+                heap.retire_cache(&mut cache);
+                for (i, &o) in objs.iter().enumerate() {
+                    if live(i, o.index()) {
+                        heap.mark(o);
+                    }
+                }
+                (heap, objs)
+            };
+            let ((replaying, objs), (fresh, fresh_objs)) = (build(), build());
+            assert_eq!(objs, fresh_objs, "deterministic build");
+            assert_eq!(chunk_count(&replaying, CG), 8);
+            let twins = Twins {
+                replaying,
+                fresh,
+                objs,
+            };
+            twins.epoch(SweepSource::Pause);
+            twins
+        }
+
+        /// Runs `f` on both heaps.
+        fn both(&self, f: impl Fn(&Heap)) {
+            f(&self.replaying);
+            f(&self.fresh);
+        }
+
+        /// One memo-sized epoch on each heap, drained by `source` (an
+        /// eager pause settles it), then compares the heaps. Returns the
+        /// chunks the replaying heap replayed.
+        fn epoch(&self, source: SweepSource) -> u64 {
+            self.epoch_with(source, |_| {})
+        }
+
+        /// [`Twins::epoch`], running `midway` on each heap once the
+        /// epoch has swept its first chunk.
+        fn epoch_with(&self, source: SweepSource, midway: impl Fn(&Heap)) -> u64 {
+            let run = |heap: &Heap, keep: bool| {
+                let epoch = SweepEpoch::new(heap, CG).keeping_marks(keep);
+                epoch.sweep_one_from(heap, source);
+                midway(heap);
+                epoch.drain(heap, source);
+                if source == SweepSource::Pause {
+                    heap.settle_drained_epoch(&epoch);
+                }
+                heap.retire_epoch(&epoch)
+            };
+            let replayed = self.replaying.sweep_counters().replayed_chunks;
+            let a = run(&self.replaying, true);
+            let b = run(&self.fresh, false);
+            // Mark the fresh heap's survivors again: after a sweep, the
+            // allocated objects are exactly the marked ones.
+            let alloc = self.fresh.alloc_bits();
+            for g in (0..alloc.len()).filter(|&g| alloc.get(g)) {
+                self.fresh.mark(ObjectRef::from_granule(g as u32));
+            }
+            assert_eq!(a, b, "SweepStats");
+            assert_eq!(self.fresh.sweep_counters().replayed_chunks, 0);
+            let (ra, rb) = (&self.replaying, &self.fresh);
+            assert_eq!(
+                ra.free_list().extents_sorted(),
+                rb.free_list().extents_sorted(),
+                "free lists"
+            );
+            for w in 0..ra.alloc_bits().word_len() {
+                let (wa, wb) = (ra.alloc_bits().load_word(w), rb.alloc_bits().load_word(w));
+                assert_eq!(wa, wb, "allocation bits at granule {}", w * 64);
+                assert_eq!(wa, ra.mark_bits().load_word(w), "alloc = marks");
+            }
+            assert_eq!(ra.dark_bytes(), rb.dark_bytes());
+            ra.sweep_counters().replayed_chunks - replayed
+        }
+    }
+
+    /// Every third object dead: gaps of all sizes, dark matter included.
+    fn dense(i: usize, _: usize) -> bool {
+        !i.is_multiple_of(3)
+    }
+
+    #[test]
+    fn replay_of_untouched_dense_chunks_matches_a_fresh_sweep() {
+        let twins = Twins::new(0, 0, dense);
+        assert!(
+            twins.replaying.dark_bytes() > 0,
+            "the marks leave dark matter"
+        );
+        assert_eq!(twins.epoch(SweepSource::Pause), 8, "every chunk replays");
+        // Recorded again by the replaying epoch, so the next one replays
+        // too, on the off-pause paths as well.
+        assert_eq!(twins.epoch(SweepSource::Refill), 8);
+        assert_eq!(twins.epoch(SweepSource::Background), 8);
+    }
+
+    #[test]
+    fn partly_refilled_chunk_is_swept_and_its_young_survivor_kept() {
+        let twins = Twins::new(0, 0, dense);
+        for source in [SweepSource::Pause, SweepSource::Refill] {
+            // Cache refills take a few extents, allocate, and return the
+            // last tail; one object survives, the rest die young.
+            twins.both(|heap| {
+                let mut cache = AllocCache::new();
+                let shape = ObjectShape::new(1, 1, 0);
+                let mut objs = Vec::new();
+                while objs.len() < 20 {
+                    match heap.alloc_small(&mut cache, shape) {
+                        Some(o) => objs.push(o),
+                        None => assert!(heap.refill_cache(&mut cache, shape.granules())),
+                    }
+                }
+                heap.retire_cache(&mut cache);
+                heap.mark(objs[7]);
+            });
+            let replayed = twins.epoch(source);
+            assert!(
+                (1..8).contains(&replayed),
+                "{source:?}: {replayed} replayed"
+            );
+        }
+    }
+
+    #[test]
+    fn large_object_spanning_into_an_untouched_chunk_is_swept_there() {
+        // The last two and a half chunks die, so the wilderness extent
+        // starts inside chunk 5.
+        let twins = Twins::new(0, 0, |i, g| dense(i, g) && g < 5 * CG + CG / 2);
+        // A survivor larger than a chunk, carved from the heap end: its
+        // header lies in chunk 6, its body fills chunk 7, in which
+        // nothing else was handed out.
+        let shape = ObjectShape::new(0, (CG + CG / 4) as u32, 2);
+        twins.both(|heap| {
+            let big = heap.alloc_large(shape).unwrap();
+            assert_eq!(big.index() / CG, 6);
+            assert_eq!((big.index() + shape.granules() - 1) / CG, 7);
+            heap.mark(big);
+        });
+        assert_eq!(twins.epoch(SweepSource::Pause), 6, "chunks 6 and 7 swept");
+        assert_eq!(twins.epoch(SweepSource::Refill), 8, "then replayed");
+    }
+
+    #[test]
+    fn grown_then_released_segment_is_never_replayed() {
+        let twins = Twins::new(2 << 20, 0, dense);
+        assert_eq!(
+            twins.replaying.segment_granules(),
+            CG,
+            "one chunk a segment"
+        );
+        twins.both(|heap| assert!(heap.try_grow()));
+        // The grown segment (chunk 8) is new to the epoch's ranges; its
+        // space is entirely free, so the settle releases it again.
+        assert_eq!(twins.epoch(SweepSource::Pause), 8);
+        twins.both(|heap| assert_eq!(heap.segment_stats().shrinks, 1));
+        // Committed again, with a survivor in it: the memo recorded with
+        // the segment mapped must not stand in for it.
+        twins.both(|heap| {
+            assert!(heap.try_grow());
+            let big = heap.alloc_large(ObjectShape::new(0, 100, 2)).unwrap();
+            assert_eq!(big.index() / CG, 8);
+            heap.mark(big);
+        });
+        assert_eq!(twins.epoch(SweepSource::Refill), 8);
+        assert_eq!(twins.epoch(SweepSource::Pause), 9, "then it replays");
+    }
+
+    #[test]
+    fn segment_committed_while_the_recording_epoch_runs_is_not_in_the_memo() {
+        // Segments of 512 granules: 32 to a chunk.
+        let seg_bytes = crate::segment::SEGMENT_ALIGN_GRANULES * GRANULE_BYTES;
+        let twins = Twins::new(2 << 20, seg_bytes, dense);
+        let seg = twins.replaying.segment_granules();
+        let hole = 8 * CG;
+        twins.both(|heap| {
+            assert!(heap.try_grow() && heap.try_grow());
+            // A survivor keeps the second grown segment; the settle
+            // releases the first, leaving a hole in chunk 8.
+            let o = heap.alloc_large(ObjectShape::new(0, 100, 2)).unwrap();
+            assert_eq!(o.index() / seg, hole / seg + 1);
+            heap.mark(o);
+        });
+        assert_eq!(twins.epoch(SweepSource::Pause), 8);
+        twins.both(|heap| assert_eq!(heap.segment_stats().shrinks, 1));
+        // The hole is committed again while the next epoch runs, before
+        // it reaches chunk 8: that epoch sweeps and records chunk 8
+        // without the segment, whose space went to the free list.
+        let regrow = |heap: &Heap| assert!(heap.try_grow());
+        assert_eq!(twins.epoch_with(SweepSource::Refill, regrow), 8);
+        // The next epoch maps the segment: chunk 8's ranges differ from
+        // its memo's, so it is swept, and from then on replayed.
+        assert_eq!(twins.epoch(SweepSource::Refill), 8);
+        assert_eq!(twins.epoch(SweepSource::Refill), 9);
+    }
+
+    #[test]
+    fn an_epoch_after_cleared_marks_never_replays() {
+        let twins = Twins::new(0, 0, dense);
+        let heap = &twins.replaying;
+        let marked: Vec<usize> = (0..heap.mark_bits().len())
+            .filter(|&g| heap.mark_bits().get(g))
+            .collect();
+        // A full cycle clears the kept marks before it marks again.
+        heap.clear_marks();
+        for &g in &marked {
+            heap.mark(ObjectRef::from_granule(g as u32));
+        }
+        let before = heap.sweep_counters().replayed_chunks;
+        let epoch = SweepEpoch::new(heap, CG).keeping_marks(true);
+        epoch.drain(heap, SweepSource::Pause);
+        heap.settle_drained_epoch(&epoch);
+        heap.retire_epoch(&epoch);
+        assert_eq!(heap.sweep_counters().replayed_chunks, before);
+        assert!(twins.objs.iter().any(|&o| heap.is_published(o)));
+    }
+
+    #[test]
+    fn other_chunk_sizes_never_touch_the_memos() {
+        let twins = Twins::new(0, 0, dense);
+        let heap = &twins.replaying;
+        let epochs = || -> Vec<u64> {
+            let memos = &heap.chunk_memos().memos;
+            memos.iter().map(|m| m.lock().epoch).collect()
+        };
+        let recorded = epochs();
+        assert!(recorded.iter().all(|&e| e == 1), "{recorded:?}");
+        // 1 Ki-granule chunks, marks kept: 128 chunks over eight memos.
+        let epoch = SweepEpoch::new(heap, 1 << 10).keeping_marks(true);
+        epoch.drain(heap, SweepSource::Refill);
+        heap.retire_epoch(&epoch);
+        sweep_serial(heap, 1 << 12);
+        assert_eq!(epochs(), recorded);
+        assert_eq!(heap.sweep_counters().replayed_chunks, 0);
     }
 
     #[test]

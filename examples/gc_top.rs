@@ -222,6 +222,21 @@ fn main() {
         g("gc_sweep_straggler_chunks_total"),
         g("gc_sweep_straggler_ns_total") / 1_000_000,
     );
+    // Replay: minor cycles' epochs reuse the last sweep of every chunk
+    // nothing was allocated in since; a replayed chunk still counts as a
+    // chunk of the path that claimed it. Eager pauses' chunks are the
+    // sweep bucket's items.
+    let sc = gc.heap().sweep_counters();
+    let claimed = sc.refill_chunks
+        + sc.bg_chunks
+        + sc.straggler_chunks
+        + sc.escalation_chunks
+        + g("gc_sched_bucket_sweep_items_total");
+    let replayed = g("gc_sweep_chunks_replayed_total");
+    println!(
+        "sweep chunks : {} swept, {replayed} replayed from their memos",
+        claimed - replayed,
+    );
     println!(
         "postmortem   : worst pause {:.2}ms, {:.0}% attributed, imbalance {:.2}, drain wait {:.2}ms",
         metric(&m, "gc_postmortem_pause_wall_ns") / 1e6,

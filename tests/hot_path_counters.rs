@@ -111,8 +111,9 @@ fn stw_drain_traces_live_bytes_exactly_at_batch_edges() {
 
 /// A pool of 4 packets of 8 entries cannot hold the drain's grey set, so
 /// the bulk push overflows (§4.3): each overflowed object stays marked,
-/// its card is dirtied, and the pause's re-clean rounds rescan it. The
-/// live set must still come out exact. (Card cleaning, not the drain,
+/// its card is dirtied, and the pause's re-clean rounds rescan it (the
+/// drain loop re-snapshots the card table because the overflow count
+/// moved). The live set must still come out exact. (Card cleaning, not the drain,
 /// scans the overflowed objects, so `stw_traced_bytes` is not compared
 /// here.)
 #[test]
@@ -124,6 +125,9 @@ fn stw_drain_overflow_keeps_live_set_exact() {
     for workers in [1, 4] {
         let (c, case) = collect_graph(workers, 64, tiny);
         assert!(c.overflows > 0, "{case}: the pool overflowed");
+        // A fresh pause cleans no card before its drain, so every card
+        // it cleaned was a re-clean round's.
+        assert!(c.cards_cleaned_stw > 0, "{case}: no re-clean round ran");
     }
 }
 

@@ -3,14 +3,20 @@
 //! traces only what became reachable since the last pause — from the
 //! roots and from the marked objects on the cards dirtied since then.
 //!
+//! A minor cycle's sweep epoch replays the memo of every chunk nothing
+//! was allocated in since the previous epoch swept it, instead of
+//! sweeping it again; only minor cycles' pauses replay.
+//!
 //! Every run here has one mutator, no background tracers and a
 //! byte-driven pacer, so it is deterministic. Built with `--features
 //! verify-gc` (CI's soundness job), each minor cycle's start is also
 //! audited in place: every marked object with an unmarked child must lie
-//! on a card the kickoff registered.
+//! on a card the kickoff registered, and every replayed chunk is swept
+//! again and compared with its memo.
 
 use std::sync::Arc;
 
+use mcgc::heap::SWEEP_CHUNK_GRANULES;
 use mcgc::{
     CollectorMode, CycleStats, Gc, GcConfig, Mutator, ObjectShape, Phase, SweepMode, Trigger,
 };
@@ -91,11 +97,24 @@ fn minors(cycles: &[CycleStats]) -> usize {
     cycles.iter().filter(|c| c.minor).count()
 }
 
+/// Chunks the heap's sweep epochs replayed, checked against the bound
+/// that only minor cycles' pauses replay: at most every chunk once per
+/// minor cycle.
+fn replayed_chunks(gc: &Gc, cycles: &[CycleStats]) -> u64 {
+    let replayed = gc.heap().sweep_counters().replayed_chunks;
+    let chunks = gc.heap().granules().div_ceil(SWEEP_CHUNK_GRANULES);
+    assert!(
+        replayed <= (minors(cycles) * chunks) as u64,
+        "{replayed} replayed"
+    );
+    replayed
+}
+
 /// Runs the jbb-shaped workload, lets a running concurrent phase finish
 /// (allocating unreachable junk, so the live set stays the workload's),
-/// and collects explicitly. Returns the log and the
-/// `gc_minor_cycles_total` counter.
-fn run_jbb_shaped(mode: CollectorMode, sweep: SweepMode) -> (Vec<CycleStats>, u64) {
+/// and collects explicitly. Returns the log, the `gc_minor_cycles_total`
+/// counter and the chunks replayed.
+fn run_jbb_shaped(mode: CollectorMode, sweep: SweepMode) -> (Vec<CycleStats>, u64, u64) {
     let gc = Gc::new(config(mode, sweep));
     let mut m = jbb_shaped(&gc, 60_000);
     let junk = ObjectShape::new(0, 30, 0);
@@ -111,18 +130,24 @@ fn run_jbb_shaped(mode: CollectorMode, sweep: SweepMode) -> (Vec<CycleStats>, u6
         .registry()
         .counter("gc_minor_cycles_total")
         .get();
-    (gc.log().cycles, minor_total)
+    let cycles = gc.log().cycles;
+    let replayed = replayed_chunks(&gc, &cycles);
+    (cycles, minor_total, replayed)
 }
 
-/// A jbb-shaped concurrent run is mostly minor cycles, passes the
-/// audits, and its final explicit collection — a full cycle, though the
-/// kept marks of a minor one preceded it — leaves exactly the live set a
-/// stop-the-world run of the same workload does.
+/// A jbb-shaped concurrent run is mostly minor cycles, whose sweeps
+/// replay the chunks of the stock data, passes the audits, and its final
+/// explicit collection — a full cycle, though the kept marks of a minor
+/// one preceded it — leaves exactly the live set a stop-the-world run of
+/// the same workload does. The stop-the-world runs never replay.
 #[test]
 fn jbb_shaped_run_is_mostly_minor_and_collects_exactly() {
     for sweep in [SweepMode::Eager, SweepMode::Lazy] {
-        let (cgc, minor_total) = run_jbb_shaped(CollectorMode::Concurrent, sweep);
-        let (stw, stw_minor_total) = run_jbb_shaped(CollectorMode::StopTheWorld, sweep);
+        let (cgc, minor_total, replayed) = run_jbb_shaped(CollectorMode::Concurrent, sweep);
+        let (stw, stw_minor_total, stw_replayed) =
+            run_jbb_shaped(CollectorMode::StopTheWorld, sweep);
+        assert!(replayed > 0, "{sweep:?}: no chunk replayed");
+        assert_eq!(stw_replayed, 0, "{sweep:?}");
         let kinds: Vec<bool> = cgc.iter().map(|c| c.minor).collect();
         assert!(minors(&cgc) >= 10, "{sweep:?}: minor cycles {kinds:?}");
         assert!(
@@ -193,7 +218,8 @@ fn lazy_final_collection_matches_stop_the_world() {
 /// queue of compiled units, another 35%, each holding its AST until
 /// `QUEUE` later units replace it. Nearly everything a cycle allocates
 /// survives it, so a minor cycle would free next to nothing: the policy
-/// probes, fails and backs off, and the run stays mostly full.
+/// probes, fails and backs off, and the run stays mostly full. Its
+/// chunks replay only at the probes' pauses.
 #[test]
 fn javac_shaped_run_stays_mostly_full() {
     const QUEUE: u32 = 16;
@@ -236,4 +262,5 @@ fn javac_shaped_run_stays_mostly_full() {
     drop(m);
     gc.audit_now();
     gc.shutdown();
+    replayed_chunks(&gc, &gc.log().cycles);
 }
