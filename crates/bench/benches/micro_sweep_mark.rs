@@ -156,22 +156,33 @@ fn mark_bit_ops() {
     });
 }
 
+/// `Mutator::write_ref`, one timing per barrier path: a store into a
+/// holder in the caller's own unpublished cache (the slot store alone)
+/// and a store into a published holder (the slot store and its card).
+/// Each includes the safepoint poll every 64th store. A stop-the-world
+/// collector whose heap holds everything, so no collection runs.
 fn write_barrier() {
-    // The raw store + card dirty (the mutator-side §5.3 sequence).
-    let heap = Heap::new(HeapConfig::with_heap_bytes(8 << 20));
-    let mut cache = AllocCache::new();
-    heap.refill_cache(&mut cache, 16);
-    let a = heap
-        .alloc_small(&mut cache, ObjectShape::new(2, 0, 0))
-        .unwrap();
-    let b_obj = heap
-        .alloc_small(&mut cache, ObjectShape::new(0, 2, 0))
-        .unwrap();
-    heap.publish_cache(&mut cache);
-    bench_op("write_barrier/store_and_dirty", 2_000_000, || {
-        heap.store_ref_unbarriered(a, 0, Some(b_obj));
-        heap.cards().dirty(a.card());
+    let mut cfg = GcConfig::with_heap_bytes(8 << 20);
+    cfg.mode = CollectorMode::StopTheWorld;
+    cfg.background_threads = 0;
+    let gc = Gc::new(cfg);
+    let mut m = gc.register_mutator();
+    let shape = ObjectShape::new(2, 0, 0);
+    let published = m.alloc(shape).unwrap();
+    m.root_push(Some(published));
+    m.collect(); // retires the cache: `published` is
+    let unpublished = m.alloc(shape).unwrap();
+    let value = m.alloc(ObjectShape::new(0, 2, 0)).unwrap();
+    bench_op("write_barrier/unpublished_holder", 2_000_000, || {
+        m.write_ref(unpublished, 0, Some(value));
     });
+    bench_op("write_barrier/published_holder", 2_000_000, || {
+        m.write_ref(published, 0, Some(value));
+    });
+    assert!(gc.heap().is_published(published));
+    assert!(!gc.heap().is_published(unpublished), "no refill ran");
+    drop(m);
+    gc.shutdown();
 }
 
 fn allocation_fast_path() {

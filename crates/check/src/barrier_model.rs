@@ -26,6 +26,19 @@
 //! kickoff registers the dirty cards holding a marked object, clears
 //! every card, and handshakes once before the registered objects are
 //! rescanned; the mutator then stores `C` into `B` during the cycle.
+//!
+//! The *unpublished* scene ([`BarrierScene::Unpublished`]) checks the
+//! barrier's card elision (`Mutator::write_ref`): `B` is allocated
+//! during a full cycle and its allocation bit is pending in the
+//! mutator's cache, so the store of `C` into it dirties no card. A
+//! cache refill may publish `B` before or after that store; publication
+//! is a release fence and then the allocation bit, as in
+//! [`crate::alloc_model`], and the barrier dirties the card of a holder
+//! already published. The tracer tests each popped object's bit and
+//! defers an unpublished one to the pause, and card cleaning re-dirties
+//! a card whose marked object is unpublished (`Gc::clean_one_card`).
+//! `B`'s card starts dirty from a store into a published neighbour, so
+//! that re-dirty runs.
 
 use crate::mem::WeakMem;
 use crate::sched::Model;
@@ -62,6 +75,24 @@ pub enum BarrierMutation {
     /// handshake: the rescan can read the old object's slot before the
     /// buffered pre-kickoff store reaches it.
     KickoffSkipsHandshake,
+    /// The barrier elides the card for a holder that a refill already
+    /// published: a tracer may have scanned it, and nothing rescans it.
+    ElidePublishedHolder,
+}
+
+impl BarrierMutation {
+    /// Every mutation (excluding `None`) with the scene that exposes it,
+    /// for the meta-test proving none of them is vacuous.
+    pub const ALL: [(BarrierScene, BarrierMutation); 5] = [
+        (BarrierScene::Full, BarrierMutation::SkipCardMark),
+        (BarrierScene::Full, BarrierMutation::SkipHandshake),
+        (BarrierScene::Minor, BarrierMutation::KickoffClearsCards),
+        (BarrierScene::Minor, BarrierMutation::KickoffSkipsHandshake),
+        (
+            BarrierScene::Unpublished,
+            BarrierMutation::ElidePublishedHolder,
+        ),
+    ];
 }
 
 /// Which cycle the scene runs.
@@ -73,6 +104,10 @@ pub enum BarrierScene {
     /// A minor cycle: `A` starts black with a buffered pre-kickoff store
     /// of `B` into it and a dirty card; the mutator stores `C` into `B`.
     Minor,
+    /// A full cycle in which `B` is allocated unpublished in the
+    /// mutator's cache: the store of `C` into it elides the card unless
+    /// a refill published `B` first.
+    Unpublished,
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -85,16 +120,20 @@ struct ColState {
     cursor: u8,
     worklist: Vec<u8>,
     registry: Vec<u8>,
+    /// Objects popped unpublished (§5.2), traced by the pause.
+    deferred: Vec<u8>,
     done: bool,
 }
 
-/// Full system state: weak memory (slots), marks/cards (sync), thread
-/// machines.
+/// Full system state: weak memory (slots), marks/cards/allocation bits
+/// (sync), thread machines.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct BarrierState {
     mem: WeakMem,
     marks: [bool; NOBJ],
     cards: [bool; NCARDS],
+    /// Allocation bits: only the unpublished scene's `B` starts clear.
+    published: [bool; NOBJ],
     col: ColState,
     mut_pc: u8,
     mut_done: bool,
@@ -123,6 +162,20 @@ const C_STW_CARDS: u8 = 10;
 const C_DONE: u8 = 11;
 const C_KICKOFF: u8 = 12;
 const C_KICKOFF_HANDSHAKE: u8 = 13;
+
+// Mutator PCs of the unpublished scene (the other scenes run 0..=3).
+const M_LINK_A: u8 = 0;
+const M_CARD_A: u8 = 1;
+const M_REFILL_OR_STORE: u8 = 2;
+const M_STORE_B: u8 = 3;
+const M_CARD_B: u8 = 4;
+const M_RETIRE_FENCE: u8 = 5;
+const M_RETIRE_BIT: u8 = 6;
+const M_REFILL_FENCE: u8 = 7;
+const M_REFILL_BIT: u8 = 8;
+const M_DONE: u8 = 9;
+/// The unpublished scene's holder.
+const HOLDER: usize = 1;
 
 impl BarrierModel {
     fn ref_of(v: u64) -> Option<u8> {
@@ -194,6 +247,8 @@ impl BarrierModel {
             }
             C_DRAIN => {
                 match n.col.worklist.pop() {
+                    // §5.2: an unpublished object is deferred, untraced.
+                    Some(obj) if !s.published[obj as usize] => n.col.deferred.push(obj),
                     Some(obj) => {
                         n.col.cur_obj = obj;
                         n.col.pc = C_LOAD;
@@ -256,12 +311,17 @@ impl BarrierModel {
             }
             C_RESCAN => {
                 // §5.3 step 3: queue the marked objects on registered
-                // cards for rescanning.
+                // cards for rescanning; a marked object still unpublished
+                // keeps its card dirty instead.
                 match n.col.registry.pop() {
                     Some(card) => {
                         let obj = OBJ_ON_CARD[card as usize];
                         if s.marks[obj as usize] {
-                            n.col.worklist.push(obj);
+                            if s.published[obj as usize] {
+                                n.col.worklist.push(obj);
+                            } else {
+                                n.cards[card as usize] = true;
+                            }
                         }
                     }
                     None => {
@@ -281,7 +341,10 @@ impl BarrierModel {
                 vec![n]
             }
             C_STW_ROOTS => {
-                // §2.2: rescan all roots.
+                // §2.2: rescan all roots. The pause retired the caches,
+                // so the deferred objects are published: trace them.
+                let deferred = std::mem::take(&mut n.col.deferred);
+                n.col.worklist.extend(deferred);
                 Self::scan_root(&mut n);
                 n.col.cursor = 0;
                 n.col.pc = C_STW_CARDS;
@@ -314,6 +377,9 @@ impl BarrierModel {
     }
 
     fn step_mutator(&self, s: &BarrierState) -> Vec<BarrierState> {
+        if self.scene == BarrierScene::Unpublished {
+            return self.step_unpublished_mutator(s);
+        }
         let mut n = s.clone();
         match s.mut_pc {
             // write_ref(A, 0, B): slot store, then barrier card mark.
@@ -346,6 +412,64 @@ impl BarrierModel {
             _ => unreachable!("mutator pc"),
         }
     }
+
+    /// The unpublished scene's mutator: links the fresh `B` into `A`,
+    /// stores `C` into `B` through the eliding barrier, and publishes
+    /// `B` either at a refill before that store or at the pause's retire
+    /// after it (release fence, then the allocation bit).
+    fn step_unpublished_mutator(&self, s: &BarrierState) -> Vec<BarrierState> {
+        let mut n = s.clone();
+        n.mut_pc = match s.mut_pc {
+            M_LINK_A => {
+                n.mem.plain_store(MUTATOR, 0, 2); // slot[A] = B
+                M_CARD_A
+            }
+            M_CARD_A => {
+                n.cards[CARD_OF[0]] = true; // A is published
+                M_REFILL_OR_STORE
+            }
+            M_REFILL_OR_STORE => {
+                let mut refill = s.clone();
+                refill.mut_pc = M_REFILL_FENCE;
+                n.mut_pc = M_STORE_B;
+                return vec![n, refill];
+            }
+            M_STORE_B => {
+                n.mem.plain_store(MUTATOR, HOLDER, 3); // slot[B] = C
+                M_CARD_B
+            }
+            M_CARD_B => {
+                // The elision: no card for a holder in the caller's own
+                // unpublished cache range.
+                let published = s.published[HOLDER];
+                if published && self.mutation != BarrierMutation::ElidePublishedHolder {
+                    n.cards[CARD_OF[HOLDER]] = true;
+                }
+                if published {
+                    M_DONE
+                } else {
+                    M_RETIRE_FENCE
+                }
+            }
+            M_RETIRE_FENCE | M_REFILL_FENCE => {
+                if !s.mem.fence(MUTATOR) {
+                    return vec![]; // wait for own flushes
+                }
+                s.mut_pc + 1
+            }
+            M_RETIRE_BIT => {
+                n.published[HOLDER] = true;
+                M_DONE
+            }
+            M_REFILL_BIT => {
+                n.published[HOLDER] = true;
+                M_STORE_B
+            }
+            _ => unreachable!("mutator pc"),
+        };
+        n.mut_done = n.mut_pc == M_DONE;
+        vec![n]
+    }
 }
 
 impl Model for BarrierModel {
@@ -355,8 +479,16 @@ impl Model for BarrierModel {
         let mut mem = WeakMem::new(NOBJ, 2);
         let mut marks = [false; NOBJ];
         let mut cards = [false; NCARDS];
+        let mut published = [true; NOBJ];
         let (pc, mut_pc) = match self.scene {
             BarrierScene::Full => (C_ROOT, 0),
+            BarrierScene::Unpublished => {
+                // `B` is fresh in the mutator's cache; its card is dirty
+                // from a store into a published neighbour.
+                published[HOLDER] = false;
+                cards[CARD_OF[HOLDER]] = true;
+                (C_ROOT, M_LINK_A)
+            }
             BarrierScene::Minor => {
                 // Before the kickoff: `A` is old, and write_ref(A, 0, B)
                 // ran — its card mark is visible, its slot store is still
@@ -371,6 +503,7 @@ impl Model for BarrierModel {
             mem,
             marks,
             cards,
+            published,
             col: ColState {
                 pc,
                 phase: 0,
@@ -379,6 +512,7 @@ impl Model for BarrierModel {
                 cursor: 0,
                 worklist: Vec::new(),
                 registry: Vec::new(),
+                deferred: Vec::new(),
                 done: false,
             },
             mut_pc,
@@ -503,5 +637,43 @@ mod tests {
             BarrierScene::Minor,
             BarrierMutation::KickoffSkipsHandshake,
         ));
+    }
+
+    #[test]
+    fn faithful_elision_never_loses_an_object() {
+        let out = run(BarrierScene::Unpublished, BarrierMutation::None);
+        assert!(out.passed(), "{out:?}");
+    }
+
+    #[test]
+    fn elided_store_meets_deferral_and_redirty() {
+        // The faithful pass is not vacuous: the tracer does meet the
+        // unpublished holder. It defers `B`, and card cleaning keeps
+        // `B`'s card dirty, while the elided store is in memory and
+        // `B`'s bit is still clear.
+        let model = BarrierModel {
+            mutation: BarrierMutation::None,
+            scene: BarrierScene::Unpublished,
+        };
+        let explorer = Explorer::default();
+        let elided = |s: &BarrierState| s.mem.shared_load(HOLDER) == 3 && !s.published[HOLDER];
+        assert!(explorer.reaches(&model, |s| elided(s)
+            && s.col.deferred.contains(&(HOLDER as u8))));
+        assert!(explorer.reaches(&model, |s| elided(s)
+            && s.col.phase == 1
+            && s.marks[HOLDER]
+            && s.cards[CARD_OF[HOLDER]]));
+    }
+
+    #[test]
+    fn every_mutation_is_caught() {
+        for (scene, mutation) in BarrierMutation::ALL {
+            match run(scene, mutation) {
+                Outcome::Violation { message, .. } => {
+                    assert!(message.contains("lost object"), "{mutation:?}: {message}")
+                }
+                other => panic!("mutation {mutation:?} was not caught: {other:?}"),
+            }
+        }
     }
 }

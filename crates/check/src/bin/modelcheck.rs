@@ -155,6 +155,19 @@ fn cases() -> Vec<Case> {
             BarrierMutation::KickoffSkipsHandshake,
             true,
         ),
+        // Card elision for stores into the caller's unpublished objects.
+        barrier_case(
+            "barrier/unpublished holder (faithful elision)",
+            BarrierScene::Unpublished,
+            BarrierMutation::None,
+            false,
+        ),
+        barrier_case(
+            "barrier/unpublished holder -card for a published holder",
+            BarrierScene::Unpublished,
+            BarrierMutation::ElidePublishedHolder,
+            true,
+        ),
         // Unified GC scheduler (retired gang's session/bucket successor).
         sched_case(
             "sched/session (faithful)",

@@ -29,7 +29,8 @@
 //! * [`alloc_model`] — §5.2 allocation publication: one fence before an
 //!   allocation cache's bits, and the tracer's bit test and deferral;
 //! * [`barrier_model`] — the §2/§5.3 kickoff/write-barrier/
-//!   card-snapshot protocol;
+//!   card-snapshot protocol, and the barrier's card elision for stores
+//!   into the caller's unpublished objects;
 //! * [`sched_model`] — the unified GC scheduler's session/bucket
 //!   protocol: one-wakeup session open, sequence-number bucket publish
 //!   with no per-phase notify, claims-based drain guard, worker

@@ -1141,9 +1141,11 @@ impl Gc {
             spans.set_cycle(self.cycle() as u32 + 1);
         }
         // The pause's clock: `pause_wall`, the pause histogram and the
-        // `gc.pause` span all read this guard.
+        // `gc.pause` span all read this guard. Its phases tile it: the
+        // first begins with it, each next one where the previous ended
+        // (`SpanGuard::then`), and the last ends with it.
         let pause = self.coord_span(SpanKind::Pause, trigger.code());
-        let mut retire = self.coord_span(SpanKind::PauseRetire, 0);
+        let mut retire = pause.first_phase(SpanKind::PauseRetire, 0);
 
         // 1. Retire every allocation cache (publishes pending allocation
         //    bits; sweep needs cache tails back on the free list).
@@ -1218,22 +1220,19 @@ impl Gc {
         //    barrier activity before this instant, which is harmless to
         //    clean). Cleaned as a scheduler bucket; `cards_wall` also
         //    absorbs the drain loop's re-clean passes below.
-        let retire_wall = retire.finish();
-        let cards = self.coord_span(SpanKind::PauseCards, 0);
+        let (retire_wall, cards) = retire.then(SpanKind::PauseCards, 0);
         // With the world stopped, only §4.3 overflow dirties a card
         // (`Gc::overflow_to_card`, which counts it first); the drain loop
         // below re-snapshots the table only when this count has moved.
         let mut overflows_seen = self.counters.overflows.load(Ordering::Relaxed);
         let (cards_left, stw_clean_work) = self.stw_clean_cards(&session, fresh);
-        let mut cards_wall = cards.finish();
 
         // 3. Rescan all thread stacks and global roots (§2.2), as one
         //    bucket: one task per mutator stack plus chunked global
         //    roots.
+        let (mut cards_wall, roots) = cards.then(SpanKind::PauseRoots, mutators.len() as u64);
         let root_slots_before = self.counters.root_slots.load(Ordering::Relaxed);
-        let roots = self.coord_span(SpanKind::PauseRoots, mutators.len() as u64);
         self.sched_scan_roots(&session, &mutators);
-        let roots_wall = roots.finish();
         let root_slots = self.counters.root_slots.load(Ordering::Relaxed) - root_slots_before;
 
         // 4. Complete marking in parallel (§2.2; marker similar to Endo
@@ -1243,13 +1242,13 @@ impl Gc {
         //    root or re-clean work before it), snapshot the cards (timed
         //    with the drain), clean the dirty ones and drain again.
         //    Marking is monotone, so this terminates.
+        let (roots_wall, mut drain) = roots.then(SpanKind::PauseDrain, 0);
         let stw_traced_before = self.counters.traced_stw.load(Ordering::Relaxed);
         let mut extra_clean_ms = 0.0;
         let mut drain_wall = Duration::ZERO;
         let mut drain_round = 0u64;
         let mut redirty = Vec::new();
         loop {
-            let drain = self.coord_span(SpanKind::PauseDrain, drain_round);
             self.drain_marking_parallel(&session);
             redirty.clear();
             let overflows = self.counters.overflows.load(Ordering::Relaxed);
@@ -1268,14 +1267,16 @@ impl Gc {
                     "dirty cards but no overflow since the last snapshot"
                 );
             }
-            drain_wall += drain.finish();
             if redirty.is_empty() {
                 break;
             }
             drain_round += 1;
-            let reclean = self.coord_span(SpanKind::PauseReclean, redirty.len() as u64);
+            let (wall, reclean) = drain.then(SpanKind::PauseReclean, redirty.len() as u64);
+            drain_wall += wall;
             let scanned = self.sched_clean_cards(&session, &redirty);
-            cards_wall += reclean.finish();
+            let (wall, next) = reclean.then(SpanKind::PauseDrain, drain_round);
+            cards_wall += wall;
+            drain = next;
             extra_clean_ms += self
                 .config
                 .cost
@@ -1297,7 +1298,8 @@ impl Gc {
         //    threshold, and spiral into ever-later kickoffs. Only the
         //    concurrent collector runs minor cycles.
         //    Timed under the sweep span, whose epoch carries the plan.
-        let sweep = self.coord_span(SpanKind::PauseSweep, u64::from(!drain_now));
+        let (wall, sweep) = drain.then(SpanKind::PauseSweep, u64::from(!drain_now));
+        drain_wall += wall;
         let c = &self.counters;
         let traced = c.traced_concurrent() + c.traced_stw.load(Ordering::Relaxed);
         let next = {
@@ -1340,7 +1342,7 @@ impl Gc {
             self.heap.install_lazy_plan(Arc::new(epoch));
             None
         };
-        let sweep_wall = sweep.finish();
+        let (sweep_wall, clear) = sweep.then(SpanKind::PauseClear, 0);
 
         // verify-gc: the settled free list must agree with the bitmaps
         // while the marks are still there (lazy sweeping checks per
@@ -1355,15 +1357,13 @@ impl Gc {
         //    cycle starts with none set, unless that cycle is minor. A
         //    lazy epoch retires off-pause, once drained, and logs its live
         //    totals then.
-        let clear = self.coord_span(SpanKind::PauseClear, 0);
         let swept = drained.map_or_else(Default::default, |e| self.heap.retire_epoch(&e));
         // Last bucket drained: close the session so the workers park
         // (the accounting below is leader-only).
         drop(session);
-        let clear_wall = clear.finish();
 
         // 8. Account the cycle.
-        let account = self.coord_span(SpanKind::PauseAccount, 0);
+        let (clear_wall, account) = clear.then(SpanKind::PauseAccount, 0);
         let cost = &self.config.cost;
         let card_single_ms = stw_clean_work + extra_clean_ms;
         let root_single_ms = cost.roots_ms(root_slots);
@@ -1464,8 +1464,7 @@ impl Gc {
         if spans.is_enabled() {
             mcgc_heap::record_counters(&self.heap, redirty.len(), spans);
         }
-        drop(account);
-        let pause_end_ns = pause_begin_ns + pause.finish().as_nanos() as u64;
+        let pause_end_ns = pause_begin_ns + pause.finish_with(account).as_nanos() as u64;
         let kickoff_ns = {
             let mut t = self.timeline.lock();
             t.last_cycle_end_ns = pause_end_ns;
@@ -1833,6 +1832,116 @@ mod tests {
         assert!(!kinds[0].0);
         assert_eq!(log.cycles[2].live_after_objects, 2);
         assert_eq!(m.read_ref(old, 0), Some(young));
+        drop(m);
+        gc.shutdown();
+    }
+
+    /// One pause's phase spans tile it: the first begins with the pause,
+    /// each next one where the previous ended, and the last ends with
+    /// it, so no wall time between two phases goes unattributed. A tiny
+    /// packet pool makes the drain overflow (§4.3), so re-clean rounds
+    /// sit between drain rounds.
+    #[test]
+    fn pause_phase_spans_abut() {
+        let mut cfg = GcConfig::stw_with_heap_bytes(8 << 20);
+        cfg.stw_workers = 2;
+        cfg.sweep = SweepMode::Eager;
+        cfg.pool = mcgc_packets::PoolConfig {
+            packets: 4,
+            capacity: 8,
+        };
+        let gc = Gc::new(cfg);
+        let mut m = gc.register_mutator();
+        let inner = ObjectShape::new(2, 0, 0);
+        let mut level = vec![m.alloc(inner).unwrap()];
+        m.root_push(Some(level[0]));
+        for _ in 0..8 {
+            let mut next = Vec::new();
+            for &parent in &level {
+                for slot in 0..2 {
+                    next.push(m.alloc_into(parent, slot, inner).unwrap());
+                }
+            }
+            level = next;
+        }
+        m.collect();
+        let spans: Vec<mcgc_telemetry::Span> = gc
+            .tel
+            .hub
+            .spans()
+            .all_spans()
+            .into_iter()
+            .filter(|&(track, _)| Some(track) == gc.coord_track)
+            .map(|(_, s)| s)
+            .collect();
+        let pause = spans.iter().find(|s| s.kind == SpanKind::Pause).unwrap();
+        let mut phases: Vec<_> = spans
+            .iter()
+            .filter(|s| SpanKind::PAUSE_PHASES.contains(&s.kind) && s.cycle == pause.cycle)
+            .collect();
+        phases.sort_by_key(|s| (s.begin_ns, s.end_ns));
+        assert!(
+            phases.iter().any(|s| s.kind == SpanKind::PauseReclean),
+            "the drain overflowed into a re-clean round"
+        );
+        assert_eq!(phases[0].begin_ns, pause.begin_ns);
+        assert_eq!(phases.last().unwrap().end_ns, pause.end_ns);
+        for pair in phases.windows(2) {
+            assert_eq!(pair[0].end_ns, pair[1].begin_ns, "{pair:?}");
+        }
+        drop(m);
+        gc.shutdown();
+    }
+
+    /// A tracer that meets a mutator's own unpublished object defers it
+    /// (§5.2), and the write barrier dirties no card for a store into it.
+    /// Once the cache is published, tracing the deferred object marks
+    /// the referent that store put there.
+    #[test]
+    fn deferred_holder_traces_the_store_its_card_never_saw() {
+        let mut cfg = GcConfig::with_heap_bytes(4 << 20);
+        cfg.background_threads = 0;
+        cfg.stw_workers = 1;
+        let gc = Gc::new(cfg);
+        let mut m = gc.register_mutator();
+        let shared = Arc::clone(&gc.mutators.lock()[0]);
+        {
+            let _coordinator = gc.coordinator.lock();
+            gc.begin_cycle_locked(CycleKind::Full, Some(&shared));
+        }
+        let shape = ObjectShape::new(1, 0, 0);
+        let holder = m.alloc(shape).unwrap();
+        let referent = m.alloc(shape).unwrap();
+        m.root_push(Some(holder));
+        let (mut batch, mut safety, mut deferred, mut grey) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut trace = |deferred: &mut Vec<ObjectRef>| {
+            let mut buf = WorkBuffer::new(&gc.pool);
+            let out =
+                gc.trace_batch_concurrent(&mut buf, &mut batch, &mut safety, deferred, &mut grey);
+            buf.finish();
+            out
+        };
+        {
+            let mut buf = WorkBuffer::new(&gc.pool);
+            gc.push_roots(&mut buf, &mut vec![holder]);
+            buf.finish();
+        }
+        assert_eq!(trace(&mut deferred), (1, 0), "popped, not scanned");
+        assert_eq!(deferred, [holder]);
+        gc.park_deferred(&mut deferred);
+        m.write_ref(holder, 0, Some(referent));
+        assert!(!gc.heap.cards().is_dirty(holder.card()), "card elided");
+        // A refill's first step. SAFETY: the owner's access, from the
+        // owner's thread; `m` holds no borrow between calls.
+        gc.heap.publish_cache(unsafe { shared.cache.owned_mut() });
+        assert_eq!(gc.pool.recycle_deferred(), 1);
+        let (popped, scanned) = trace(&mut deferred);
+        assert_eq!(popped, 1);
+        assert!(scanned > 0 && deferred.is_empty());
+        assert!(gc.heap.is_marked(referent), "the elided store was traced");
+        m.collect();
+        assert_eq!(m.read_ref(holder, 0), Some(referent));
         drop(m);
         gc.shutdown();
     }

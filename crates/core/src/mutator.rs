@@ -164,10 +164,21 @@ impl Mutator {
     /// reference is already a root (the caller holds it), the referencing
     /// cell is modified, and finally the card is dirtied — with **no
     /// fence** (§5.3; the collector's snapshot handshake compensates).
+    ///
+    /// No card is dirtied when `obj` is this mutator's own object whose
+    /// allocation bit is still pending: no tracer can have scanned it
+    /// (§5.2 defers it, card cleaning keeps its card dirty, and every
+    /// pause publishes the caches first), and the cache's publication
+    /// fence orders this store before the bit that lets a tracer scan it.
     #[inline]
     pub fn write_ref(&mut self, obj: ObjectRef, slot: u32, value: Option<ObjectRef>) {
         self.gc.heap.store_ref_unbarriered(obj, slot, value);
-        self.gc.heap.cards().dirty(obj.card());
+        // SAFETY: the owner's access (`&mut self`, thread running); the
+        // borrow ends before `poll`.
+        let unpublished = unsafe { self.shared.cache.owned_mut() }.holds_unpublished(obj);
+        if !unpublished {
+            self.gc.heap.cards().dirty(obj.card());
+        }
         self.writes_since_poll += 1;
         if self.writes_since_poll >= WRITE_POLL_PERIOD {
             self.writes_since_poll = 0;
@@ -451,5 +462,88 @@ impl std::fmt::Debug for Mutator {
         f.debug_struct("Mutator")
             .field("id", &self.shared.id)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{CollectorMode, GcConfig};
+
+    /// A stop-the-world collector whose heap holds everything these tests
+    /// allocate: no collection runs unless a test asks for one, so only
+    /// the barrier dirties cards.
+    fn quiet_gc() -> Arc<Gc> {
+        let mut cfg = GcConfig::with_heap_bytes(16 << 20);
+        cfg.mode = CollectorMode::StopTheWorld;
+        cfg.background_threads = 0;
+        cfg.stw_workers = 1;
+        Gc::new(cfg)
+    }
+
+    fn small() -> ObjectShape {
+        ObjectShape::new(1, 0, 0)
+    }
+
+    #[test]
+    fn store_into_own_unpublished_object_dirties_no_card_until_a_refill_publishes_it() {
+        let gc = quiet_gc();
+        let mut m = gc.register_mutator();
+        let holder = m.alloc(small()).unwrap();
+        let value = m.alloc(small()).unwrap();
+        m.write_ref(holder, 0, Some(value));
+        assert!(!gc.heap().is_published(holder));
+        assert!(!gc.heap().cards().is_dirty(holder.card()));
+        assert_eq!(m.read_ref(holder, 0), Some(value));
+        while !gc.heap().is_published(holder) {
+            m.alloc(small()).unwrap();
+        }
+        m.write_ref(holder, 0, Some(value));
+        assert!(gc.heap().cards().is_dirty(holder.card()));
+        assert!(gc.log().cycles.is_empty(), "no pause cleaned the cards");
+        drop(m);
+        gc.shutdown();
+    }
+
+    #[test]
+    fn store_after_collect_dirties_the_card() {
+        let gc = quiet_gc();
+        let mut m = gc.register_mutator();
+        let holder = m.alloc(small()).unwrap();
+        m.root_push(Some(holder));
+        m.collect();
+        assert!(
+            gc.heap().is_published(holder),
+            "the pause retired the cache"
+        );
+        assert!(!gc.heap().cards().is_dirty(holder.card()));
+        let value = m.alloc(small()).unwrap();
+        m.write_ref(holder, 0, Some(value));
+        assert!(gc.heap().cards().is_dirty(holder.card()));
+        drop(m);
+        gc.shutdown();
+    }
+
+    #[test]
+    fn store_into_a_large_or_anothers_object_dirties_its_card() {
+        let gc = quiet_gc();
+        let mut m = gc.register_mutator();
+        let mut other = gc.register_mutator();
+        let large = ObjectShape::new(1, 2047, 0);
+        assert!(gc.heap().is_large(large));
+        let big = m.alloc(large).unwrap();
+        assert!(gc.heap().is_published(big), "large objects publish at once");
+        let value = m.alloc(small()).unwrap();
+        m.write_ref(big, 0, Some(value));
+        assert!(gc.heap().cards().is_dirty(big.card()));
+        // Unpublished, but in another mutator's cache: not this
+        // mutator's own.
+        let theirs = other.alloc(small()).unwrap();
+        assert!(!gc.heap().is_published(theirs));
+        m.write_ref(theirs, 0, Some(value));
+        assert!(gc.heap().cards().is_dirty(theirs.card()));
+        drop(other);
+        drop(m);
+        gc.shutdown();
     }
 }

@@ -129,7 +129,8 @@ impl OwnedCache {
     /// calls inside their two files:
     ///
     /// * **The owner** (`mutator.rs`: `Mutator::alloc`'s fast path, the
-    ///   refill in `alloc_small_slow`, and the retire in `Drop`). It
+    ///   refill in `alloc_small_slow`, the write barrier's test of the
+    ///   unpublished range in `write_ref`, and the retire in `Drop`). It
     ///   holds `&mut Mutator`, so no second owner-side borrow exists, and
     ///   its thread is *unsafe* (running), so no pause can be retiring
     ///   caches. The borrow must not be live across a call that can

@@ -438,28 +438,46 @@ impl Gc {
     /// bytes scanned. Callers push `grey` and count cleaned cards once
     /// per batch, not per card.
     pub(crate) fn clean_one_card(&self, card: usize, grey: &mut Vec<ObjectRef>, stw: bool) -> u64 {
+        const _: () = assert!(mcgc_heap::GRANULES_PER_CARD <= 64, "one mask word per card");
         let start = card * mcgc_heap::GRANULES_PER_CARD;
         let end = ((card + 1) * mcgc_heap::GRANULES_PER_CARD).min(self.heap.granules());
-        let mut bytes = 0;
         let alloc = self.heap.alloc_bits();
         let marks = self.heap.mark_bits();
         // Walk the *mark* bitmap, not the allocation bitmap: a deferred
         // object parked onto its card by the pool-exhaustion fallback is
         // marked but not yet published, and walking allocation bits
         // would skip it while the card's dirty indicator has already
-        // been consumed — silently losing its children.
-        let mut g = start.max(1);
+        // been consumed — silently losing its children. As in the §5.2
+        // batch, every bit is tested before any object is scanned.
+        let mut safe = 0u64; // bit i: a published marked object at start + i
         let mut unpublished = false;
+        let mut g = start.max(1);
         while let Some(found) = marks.next_set_before(g, end) {
             if alloc.get(found) {
-                let obj = ObjectRef::from_granule(found as u32);
-                bytes += self.scan_into(obj, grey);
+                safe |= 1 << (found - start);
             } else {
                 // §5.2: unsafe to scan until its allocation bit batch is
                 // published; keep the card as coverage instead.
                 unpublished = true;
             }
             g = found + 1;
+        }
+        if safe != 0 && !stw {
+            // The barrier dirties no card for a store into its own
+            // unpublished object, so only the publication fence orders
+            // that store before the bit read above: order the scans after
+            // the bit tests. A pause needs none; stopping the world
+            // ordered every mutator store.
+            // MODEL: barrier_model (crates/check), unpublished scene —
+            // argued, not checked: the store-buffer model never reorders
+            // loads, so deleting this acquire fails no model.
+            acquire_fence(FenceKind::TraceBatch);
+        }
+        let mut bytes = 0;
+        while safe != 0 {
+            let off = safe.trailing_zeros() as usize;
+            safe &= safe - 1;
+            bytes += self.scan_into(ObjectRef::from_granule((start + off) as u32), grey);
         }
         if unpublished {
             debug_assert!(!stw, "unpublished marks survive cache retirement");

@@ -167,24 +167,22 @@ impl Bitmap {
         }
     }
 
-    /// Counts set bits in `[start, end)`.
+    /// Counts set bits in `[start, end)`: only the two end words are
+    /// masked; the words between are counted whole.
     pub fn count_range(&self, start: usize, end: usize) -> usize {
         assert!(start <= end && end <= self.len);
-        let mut count = 0;
-        let mut i = start;
-        while i < end {
-            let wi = i / BITS;
-            let off = i % BITS;
-            let upto = ((wi + 1) * BITS).min(end);
-            let take = upto - i;
-            let mut w = self.words[wi].load(Ordering::Relaxed) >> off;
-            if take < BITS {
-                w &= (1u64 << take) - 1;
-            }
-            count += w.count_ones() as usize;
-            i = upto;
+        if start == end {
+            return 0;
         }
-        count
+        let (first, last) = (start / BITS, (end - 1) / BITS);
+        let head = !0u64 << (start % BITS);
+        let tail = !0u64 >> (BITS - 1 - (end - 1) % BITS);
+        let word = |w: usize| self.words[w].load(Ordering::Relaxed);
+        if first == last {
+            return (word(first) & head & tail).count_ones() as usize;
+        }
+        let inner: u32 = (first + 1..last).map(|w| word(w).count_ones()).sum();
+        ((word(first) & head).count_ones() + inner + (word(last) & tail).count_ones()) as usize
     }
 
     /// Counts all set bits.
@@ -246,6 +244,23 @@ mod tests {
             assert_eq!(b.count_range(s, e), brute(s, e), "range {s}..{e}");
         }
         assert_eq!(b.count(), brute(0, 256));
+        // Ragged ranges over many words, on a map whose length is not a
+        // word multiple: every start and end offset within a word, and
+        // spans of zero to dozens of whole words between the end words.
+        let b = Bitmap::new(64 * 40 + 17);
+        for i in 0..b.len() {
+            if (i * 7 + i / 5) % 3 != 0 {
+                b.set(i);
+            }
+        }
+        let brute = |s: usize, e: usize| (s..e).filter(|&i| b.get(i)).count();
+        for s in (0..b.len()).step_by(13) {
+            for e in [s, s + 1, s + 63, s + 64, s + 65, s + 640 + 5, b.len()] {
+                let e = e.min(b.len());
+                assert_eq!(b.count_range(s, e), brute(s, e), "range {s}..{e}");
+            }
+        }
+        assert_eq!(b.count_range(0, b.len()), b.count());
     }
 
     #[test]

@@ -120,29 +120,52 @@ impl CardTable {
     /// registered cards' contents.
     pub fn snapshot_dirty(&self, start: usize, end: usize, out: &mut Vec<usize>) {
         debug_assert!(start <= end && end <= self.n_cards);
-        for w in start / CARDS_PER_WORD..end.div_ceil(CARDS_PER_WORD) {
-            let word_base = w * CARDS_PER_WORD;
-            // `to_le` makes lane i of the integer correspond to memory
-            // byte (= card) word_base + i on either endianness.
-            let mut lanes = self.words[w].load(Ordering::Relaxed).to_le();
-            if lanes == 0 {
-                continue;
+        let first = start / CARDS_PER_WORD;
+        // The loop over clean words, nearly all of a pause's table, keeps
+        // its state in registers because the dirty-word path, which can
+        // grow `out`, is out of line: inlined, it makes the compiler keep
+        // the word index in a stack slot, a store-to-load chain per word
+        // whose cost depends on where the loop is placed.
+        for (i, word) in self.words[first..end.div_ceil(CARDS_PER_WORD)]
+            .iter()
+            .enumerate()
+        {
+            let lanes = word.load(Ordering::Relaxed);
+            if lanes != 0 {
+                self.take_dirty_lanes(first + i, lanes, start, end, out);
             }
-            if start > word_base {
-                lanes &= !0u64 << ((start - word_base) * 8);
+        }
+    }
+
+    /// Registers and clears the dirty cards in `[start, end)` among the
+    /// lanes of word `w`, which read `lanes`.
+    #[inline(never)]
+    fn take_dirty_lanes(
+        &self,
+        w: usize,
+        lanes: u64,
+        start: usize,
+        end: usize,
+        out: &mut Vec<usize>,
+    ) {
+        let word_base = w * CARDS_PER_WORD;
+        // `to_le` makes lane i of the integer correspond to memory
+        // byte (= card) word_base + i on either endianness.
+        let mut lanes = lanes.to_le();
+        if start > word_base {
+            lanes &= !0u64 << ((start - word_base) * 8);
+        }
+        let word_end = word_base + CARDS_PER_WORD;
+        if end < word_end {
+            lanes &= !0u64 >> ((word_end - end) * 8);
+        }
+        while lanes != 0 {
+            let lane = (lanes.trailing_zeros() / 8) as usize;
+            let card = word_base + lane;
+            if self.byte(card).swap(CLEAN, Ordering::Relaxed) == DIRTY {
+                out.push(card);
             }
-            let word_end = word_base + CARDS_PER_WORD;
-            if end < word_end {
-                lanes &= !0u64 >> ((word_end - end) * 8);
-            }
-            while lanes != 0 {
-                let lane = (lanes.trailing_zeros() / 8) as usize;
-                let card = word_base + lane;
-                if self.byte(card).swap(CLEAN, Ordering::Relaxed) == DIRTY {
-                    out.push(card);
-                }
-                lanes &= !(0xFFu64 << (lane * 8));
-            }
+            lanes &= !(0xFFu64 << (lane * 8));
         }
     }
 

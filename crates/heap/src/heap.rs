@@ -116,6 +116,8 @@ impl ObjectShape {
 /// fence publishes the whole batch (§5.2).
 #[derive(Debug, Default)]
 pub struct AllocCache {
+    /// First granule not yet published: `[start, cursor)` holds exactly
+    /// the objects whose allocation bits are pending.
     start: usize,
     cursor: usize,
     end: usize,
@@ -152,7 +154,16 @@ impl AllocCache {
 
     /// True if the cache currently owns no heap region.
     pub fn is_retired(&self) -> bool {
-        self.start == self.end
+        self.end == 0
+    }
+
+    /// True if `obj` was bump-allocated from this cache since its last
+    /// publication, so its allocation bit is pending and no tracer can
+    /// have scanned it (§5.2). The write barrier needs no card for a
+    /// store into such an object.
+    #[inline]
+    pub fn holds_unpublished(&self, obj: ObjectRef) -> bool {
+        (self.start..self.cursor).contains(&obj.index())
     }
 
     /// Refills since the last retire (drives adaptive cache growth).
@@ -947,6 +958,7 @@ impl Heap {
         release_fence(FenceKind::AllocBatch);
         self.alloc_bits.set_many(&cache.pending);
         cache.pending.clear();
+        cache.start = cache.cursor;
     }
 
     /// Publishes pending allocations, then replaces `cache`'s region with
@@ -1246,8 +1258,15 @@ mod tests {
         assert_eq!(heap.load_ref(obj, 0), None);
         assert_eq!(heap.load_data(obj, 2), 0);
         assert!(!heap.is_published(obj), "bit pending until publish");
+        assert!(cache.holds_unpublished(obj));
         heap.publish_cache(&mut cache);
         assert!(heap.is_published(obj));
+        assert!(
+            !cache.holds_unpublished(obj),
+            "publication empties the range"
+        );
+        let next = heap.alloc_small(&mut cache, shape).unwrap();
+        assert!(cache.holds_unpublished(next));
     }
 
     #[test]

@@ -33,8 +33,10 @@ pub enum FenceKind {
     AllocBatch,
     /// Publishing a large-object allocation (individually fenced).
     LargeAlloc,
-    /// Tracer-side fence after testing a packet's allocation bits and
-    /// before tracing the "safe" objects (§5.2 tracer side).
+    /// Tracer-side fence after testing the allocation bits of a packet
+    /// batch (or of a card's marked objects, during concurrent card
+    /// cleaning) and before tracing the "safe" objects (§5.2 tracer
+    /// side).
     TraceBatch,
     /// Publishing a full output work packet to the shared pool: one fence
     /// per packet of marked objects (§5.1).

@@ -672,7 +672,7 @@ pub struct SpanGuard<'r> {
     arg: u64,
 }
 
-impl SpanGuard<'_> {
+impl<'r> SpanGuard<'r> {
     fn inert() -> SpanGuard<'static> {
         SpanGuard {
             clock: None,
@@ -706,11 +706,65 @@ impl SpanGuard<'_> {
         self.close()
     }
 
-    fn close(&mut self) -> Duration {
-        let Some(rec) = self.clock.take() else {
+    /// Opens a span of `kind` on this guard's clock and track that begins
+    /// when this one began: the first phase of the region this guard
+    /// times.
+    pub fn first_phase(&self, kind: SpanKind, arg: u64) -> SpanGuard<'r> {
+        SpanGuard {
+            clock: self.clock,
+            track: self.track,
+            kind,
+            cycle: self.clock.map_or(0, SpanRecorder::current_cycle),
+            begin_ns: self.begin_ns,
+            arg,
+        }
+    }
+
+    /// Closes this span and opens the next phase's span of `kind` on the
+    /// same clock and track, beginning where this one ends: one clock
+    /// read serves both, so consecutive phases abut and no time between
+    /// them goes unattributed. Returns this span's duration and the new
+    /// guard.
+    pub fn then(mut self, kind: SpanKind, arg: u64) -> (Duration, SpanGuard<'r>) {
+        let Some(rec) = self.clock else {
+            return (Duration::ZERO, SpanGuard::inert());
+        };
+        let end_ns = rec.now_ns();
+        let next = SpanGuard {
+            clock: Some(rec),
+            track: self.track,
+            kind,
+            cycle: rec.current_cycle(),
+            begin_ns: end_ns,
+            arg,
+        };
+        (self.close_at(end_ns), next)
+    }
+
+    /// Closes `last`, this region's final phase, and this span at one
+    /// instant, so the phases end with the region. Returns this span's
+    /// duration.
+    pub fn finish_with(mut self, mut last: SpanGuard<'_>) -> Duration {
+        let Some(rec) = self.clock else {
+            last.close();
             return Duration::ZERO;
         };
         let end_ns = rec.now_ns();
+        last.close_at(end_ns);
+        self.close_at(end_ns)
+    }
+
+    fn close(&mut self) -> Duration {
+        match self.clock {
+            Some(rec) => self.close_at(rec.now_ns()),
+            None => Duration::ZERO,
+        }
+    }
+
+    fn close_at(&mut self, end_ns: u64) -> Duration {
+        let Some(rec) = self.clock.take() else {
+            return Duration::ZERO;
+        };
         if let Some(track) = self.track {
             rec.record_on(
                 track,
