@@ -19,6 +19,12 @@
 //! rescan, final card cleaning, and final drain. As in `mcgc_core`, a
 //! root scan queues only the roots it marks itself.
 //!
+//! Every handshake may time out instead of waiting for the mutator's
+//! fence (`Gc::card_handshake` waits a bounded time). Its cards then stay
+//! registered: a later handshake's ack covers them, or the pause cleans
+//! them after its rendezvous, as `Gc::stw_clean_cards` drains the
+//! registry.
+//!
 //! The *minor* scene ([`BarrierScene::Minor`]) starts a minor cycle on
 //! sticky mark bits instead: `A` is old (marked by the previous cycle),
 //! and `write_ref(A, 0, B)` ran before the kickoff, its card mark visible
@@ -78,14 +84,22 @@ pub enum BarrierMutation {
     /// The barrier elides the card for a holder that a refill already
     /// published: a tracer may have scanned it, and nothing rescans it.
     ElidePublishedHolder,
+    /// A timed-out handshake falls back to a fence on the collector's
+    /// side only and rescans the registered cards anyway: that fence
+    /// does not drain the mutator's store buffer, and a timeout can come
+    /// before any ack, so the rescan can read a stale slot, as without
+    /// the handshake.
+    TimeoutRescans,
 }
 
 impl BarrierMutation {
     /// Every mutation (excluding `None`) with the scene that exposes it,
     /// for the meta-test proving none of them is vacuous.
-    pub const ALL: [(BarrierScene, BarrierMutation); 5] = [
+    pub const ALL: [(BarrierScene, BarrierMutation); 7] = [
         (BarrierScene::Full, BarrierMutation::SkipCardMark),
         (BarrierScene::Full, BarrierMutation::SkipHandshake),
+        (BarrierScene::Full, BarrierMutation::TimeoutRescans),
+        (BarrierScene::Minor, BarrierMutation::TimeoutRescans),
         (BarrierScene::Minor, BarrierMutation::KickoffClearsCards),
         (BarrierScene::Minor, BarrierMutation::KickoffSkipsHandshake),
         (
@@ -228,16 +242,20 @@ impl BarrierModel {
             C_KICKOFF_HANDSHAKE => {
                 // One handshake, then the concurrent cleaner drains the
                 // registry: queue the marked objects on registered cards.
-                if self.mutation != BarrierMutation::KickoffSkipsHandshake
-                    && !s.mem.others_drained(COLLECTOR)
-                {
-                    return vec![]; // blocked; mutator flushes unblock it
-                }
-                for card in n.col.registry.drain(..) {
-                    n.col.worklist.push(OBJ_ON_CARD[card as usize]);
-                }
+                // Or the wait times out, and the cards stay registered for
+                // the cleaning pass's handshake (the registry waits for
+                // the largest epoch registered into it) or the pause.
                 n.col.pc = C_ROOT;
-                vec![n]
+                let mut rescan = n.clone();
+                for card in rescan.col.registry.drain(..) {
+                    rescan.col.worklist.push(OBJ_ON_CARD[card as usize]);
+                }
+                match self.mutation {
+                    BarrierMutation::TimeoutRescans => vec![rescan],
+                    BarrierMutation::KickoffSkipsHandshake => vec![rescan, n],
+                    _ if s.mem.others_drained(COLLECTOR) => vec![rescan, n],
+                    _ => vec![n],
+                }
             }
             C_ROOT => {
                 // Kickoff: scan the root set (§2.1).
@@ -298,16 +316,20 @@ impl BarrierModel {
                 vec![n]
             }
             C_HANDSHAKE => {
-                // §5.3 step 2: every mutator fences before the rescan.
-                if self.mutation == BarrierMutation::SkipHandshake {
-                    n.col.pc = C_RESCAN;
-                    return vec![n];
+                // §5.3 step 2: every mutator fences before the rescan. Or
+                // the wait times out, and the registered cards wait for
+                // the pause.
+                let mut rescan = n.clone();
+                rescan.col.pc = C_RESCAN;
+                n.col.phase = 1;
+                n.col.pc = C_DRAIN;
+                match self.mutation {
+                    BarrierMutation::SkipHandshake | BarrierMutation::TimeoutRescans => {
+                        vec![rescan]
+                    }
+                    _ if s.mem.others_drained(COLLECTOR) => vec![rescan, n],
+                    _ => vec![n],
                 }
-                if !s.mem.others_drained(COLLECTOR) {
-                    return vec![]; // blocked; mutator flushes unblock it
-                }
-                n.col.pc = C_RESCAN;
-                vec![n]
             }
             C_RESCAN => {
                 // §5.3 step 3: queue the marked objects on registered
@@ -343,8 +365,17 @@ impl BarrierModel {
             C_STW_ROOTS => {
                 // §2.2: rescan all roots. The pause retired the caches,
                 // so the deferred objects are published: trace them.
+                // Final card cleaning starts with the cards a timed-out
+                // handshake left registered: the rendezvous drained every
+                // mutator buffer.
                 let deferred = std::mem::take(&mut n.col.deferred);
                 n.col.worklist.extend(deferred);
+                for card in std::mem::take(&mut n.col.registry) {
+                    let obj = OBJ_ON_CARD[card as usize];
+                    if s.marks[obj as usize] {
+                        n.col.worklist.push(obj);
+                    }
+                }
                 Self::scan_root(&mut n);
                 n.col.cursor = 0;
                 n.col.pc = C_STW_CARDS;
@@ -663,6 +694,25 @@ mod tests {
             && s.col.phase == 1
             && s.marks[HOLDER]
             && s.cards[CARD_OF[HOLDER]]));
+    }
+
+    #[test]
+    fn timed_out_handshakes_leave_their_cards_registered() {
+        // The faithful passes are not vacuous: a timed-out snapshot
+        // reaches the pause with its cards still registered, and a
+        // timed-out minor kickoff's cards wait for the cleaning pass.
+        let explorer = Explorer::default();
+        let full = BarrierModel {
+            mutation: BarrierMutation::None,
+            scene: BarrierScene::Full,
+        };
+        assert!(explorer.reaches(&full, |s| s.col.pc == C_STW && !s.col.registry.is_empty()));
+        let minor = BarrierModel {
+            mutation: BarrierMutation::None,
+            scene: BarrierScene::Minor,
+        };
+        assert!(explorer.reaches(&minor, |s| s.col.pc == C_SNAPSHOT
+            && s.col.registry.contains(&(CARD_OF[ROOT as usize] as u8))));
     }
 
     #[test]

@@ -136,6 +136,12 @@ fn cases() -> Vec<Case> {
             BarrierMutation::SkipHandshake,
             true,
         ),
+        barrier_case(
+            "barrier/marking timeout rescans (collector-side fence)",
+            BarrierScene::Full,
+            BarrierMutation::TimeoutRescans,
+            true,
+        ),
         // Minor cycles on sticky mark bits: the kickoff's remembered set.
         barrier_case(
             "barrier/minor (faithful)",
@@ -153,6 +159,12 @@ fn cases() -> Vec<Case> {
             "barrier/minor kickoff -handshake (§5.3 step 2 deleted)",
             BarrierScene::Minor,
             BarrierMutation::KickoffSkipsHandshake,
+            true,
+        ),
+        barrier_case(
+            "barrier/minor timeout rescans (collector-side fence)",
+            BarrierScene::Minor,
+            BarrierMutation::TimeoutRescans,
             true,
         ),
         // Card elision for stores into the caller's unpublished objects.

@@ -11,7 +11,7 @@ use mcgc_membar::sync::{Condvar, Mutex, MutexGuard};
 use mcgc_packets::{PacketPool, WorkBuffer};
 use mcgc_telemetry::{SpanGuard, SpanKind, TrackId};
 
-use crate::config::{CollectorMode, GcConfig, SweepMode};
+use crate::config::{CollectorMode, CostModel, GcConfig, SweepMode};
 use crate::mutator::Mutator;
 use crate::pacing::{CycleKind, CycleOutcome, Pacer};
 use crate::roots::{MutatorShared, StwSync};
@@ -30,6 +30,11 @@ pub enum Phase {
 
 pub(crate) const PHASE_IDLE: u8 = 0;
 pub(crate) const PHASE_CONCURRENT: u8 = 1;
+
+/// Lazy-sweep chunks a mutator's escalation or the background sweeper
+/// sweeps per call between safepoint polls (the lazy sweep is §7's
+/// future work, built as an extension).
+const SWEEP_BATCH_CHUNKS: usize = 8;
 
 /// Errors surfaced to mutators.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -169,7 +174,13 @@ pub(crate) struct CardCleanState {
     pub cursor: usize,
     /// Registered dirty cards awaiting cleaning (§5.3 step 1 output).
     pub registry: VecDeque<usize>,
-    /// All configured passes completed.
+    /// The largest handshake epoch whose snapshot was registered: no
+    /// registered card is cleaned concurrently before every running
+    /// mutator has acked it. Cleaners can register out of epoch order,
+    /// so this is a maximum, not the last epoch written.
+    pub epoch: u64,
+    /// All configured snapshot passes completed (registered cards may
+    /// still await cleaning).
     pub done: bool,
 }
 
@@ -178,6 +189,7 @@ impl CardCleanState {
         self.pass = 0;
         self.cursor = 0;
         self.registry.clear();
+        self.epoch = 0;
         self.done = false;
     }
 }
@@ -1012,7 +1024,7 @@ impl Gc {
             return false;
         };
         let mut progressed = false;
-        for _ in 0..8 {
+        for _ in 0..SWEEP_BATCH_CHUNKS {
             if plan
                 .sweep_one_from(&self.heap, SweepSource::Escalation)
                 .is_none()
@@ -1028,9 +1040,9 @@ impl Gc {
     }
 
     /// One background-sweeper quantum (the sweep-epoch analogue of the
-    /// §3 background tracers): drains up to `bg_sweep_batch` chunks of
-    /// the active epoch, or parks for this turn when the pacer sees
-    /// mutator refills keeping up on their own. Returns true if chunks
+    /// §3 background tracers): drains up to [`SWEEP_BATCH_CHUNKS`]
+    /// chunks of the active epoch, or parks for this turn when the pacer
+    /// sees mutator refills keeping up on their own. Returns true if chunks
     /// were swept (caller yields briefly and comes back).
     pub(crate) fn background_sweep_quantum(&self, pacer: &mut crate::pacing::BgSweepPacer) -> bool {
         if !self.config.bg_sweep || self.config.sweep != SweepMode::Lazy {
@@ -1060,7 +1072,7 @@ impl Gc {
             return false;
         }
         let mut progressed = false;
-        for _ in 0..self.config.bg_sweep_batch.max(1) {
+        for _ in 0..SWEEP_BATCH_CHUNKS {
             if plan
                 .sweep_one_from(&self.heap, SweepSource::Background)
                 .is_none()
@@ -1145,6 +1157,7 @@ impl Gc {
         // first begins with it, each next one where the previous ended
         // (`SpanGuard::then`), and the last ends with it.
         let pause = self.coord_span(SpanKind::Pause, trigger.code());
+        let cost = CostModel::default();
         let mut retire = pause.first_phase(SpanKind::PauseRetire, 0);
 
         // 1. Retire every allocation cache (publishes pending allocation
@@ -1215,17 +1228,21 @@ impl Gc {
         let kind = self.pacer.lock().kind();
         let free_at_stw_start = self.heap.free_bytes() as u64;
 
-        // 2. Final card cleaning (§2.2) — only meaningful if a concurrent
-        //    phase ran (fresh cycles have a clean card table *except* for
-        //    barrier activity before this instant, which is harmless to
-        //    clean). Cleaned as a scheduler bucket; `cards_wall` also
-        //    absorbs the drain loop's re-clean passes below.
+        // 2. Final card cleaning (§2.2), as a scheduler bucket; only after
+        //    a concurrent phase. A fresh cycle's initialization cleared
+        //    the card table just above, with the world stopped.
+        //    `cards_wall` also absorbs the drain loop's re-clean passes
+        //    below.
         let (retire_wall, cards) = retire.then(SpanKind::PauseCards, 0);
         // With the world stopped, only §4.3 overflow dirties a card
         // (`Gc::overflow_to_card`, which counts it first); the drain loop
         // below re-snapshots the table only when this count has moved.
         let mut overflows_seen = self.counters.overflows.load(Ordering::Relaxed);
-        let (cards_left, stw_clean_work) = self.stw_clean_cards(&session, fresh);
+        let (cards_left, stw_clean_work) = if fresh {
+            (0, 0.0)
+        } else {
+            self.stw_clean_cards(&session, &cost)
+        };
 
         // 3. Rescan all thread stacks and global roots (§2.2), as one
         //    bucket: one task per mutator stack plus chunked global
@@ -1277,11 +1294,8 @@ impl Gc {
             let (wall, next) = reclean.then(SpanKind::PauseDrain, drain_round);
             cards_wall += wall;
             drain = next;
-            extra_clean_ms += self
-                .config
-                .cost
-                .card_ms(self.heap.cards().len() as u64, redirty.len() as u64)
-                + self.config.cost.trace_ms(scanned);
+            extra_clean_ms += cost.card_ms(self.heap.cards().len() as u64, redirty.len() as u64)
+                + cost.trace_ms(scanned);
         }
         let stw_traced = self.counters.traced_stw.load(Ordering::Relaxed) - stw_traced_before;
 
@@ -1364,7 +1378,6 @@ impl Gc {
 
         // 8. Account the cycle.
         let (clear_wall, account) = clear.then(SpanKind::PauseAccount, 0);
-        let cost = &self.config.cost;
         let card_single_ms = stw_clean_work + extra_clean_ms;
         let root_single_ms = cost.roots_ms(root_slots);
         let trace_single_ms = cost.trace_ms(stw_traced);
@@ -1484,18 +1497,17 @@ impl Gc {
     /// and the pause's redirty/re-clean loop rescans it. Marking is
     /// monotone, so the extra cards only cost time, never soundness.
     ///
-    /// Walks the mark bitmap a 64-bit word at a time (at the current
-    /// geometry one word covers exactly one card), striped across the
-    /// scheduler workers; all-zero words — the vast majority — cost one
-    /// load.
+    /// Walks the mark bitmap a 64-bit word at a time (word `w` covers
+    /// exactly card `w`), striped across the scheduler workers; all-zero
+    /// words — the vast majority — cost one load.
     fn flood_marked_cards(&self, session: &Session<'_>) {
         const STRIPE_WORDS: usize = 1 << 12; // 32 KiB of bitmap per claim
+        const _: () = assert!(mcgc_heap::GRANULES_PER_CARD == 64, "one card per mark word");
         let _flood_span = self.coord_span(SpanKind::PauseFlood, 0);
         let marks = self.heap.mark_bits();
         let cards = self.heap.cards();
         let words = marks.word_len();
         let cursor = AtomicUsize::new(0);
-        let gpc = mcgc_heap::GRANULES_PER_CARD;
         session.run(Bucket::Flood, |wk| {
             let mut claims = 0u64;
             loop {
@@ -1505,27 +1517,8 @@ impl Gc {
                 }
                 claims += 1;
                 for w in start..(start + STRIPE_WORDS).min(words) {
-                    let mut bits = marks.load_word(w);
-                    if bits == 0 {
-                        continue;
-                    }
-                    let base = w * 64;
-                    if gpc >= 64 {
-                        // The whole word maps into a single card.
-                        cards.dirty(base / gpc);
-                    } else {
-                        // Several cards per word: dirty each card that
-                        // has a set bit, skipping by card.
-                        while bits != 0 {
-                            let g = base + bits.trailing_zeros() as usize;
-                            let card = g / gpc;
-                            cards.dirty(card);
-                            let card_end = (card + 1) * gpc;
-                            if card_end >= base + 64 {
-                                break;
-                            }
-                            bits &= !0u64 << (card_end - base);
-                        }
+                    if marks.load_word(w) != 0 {
+                        cards.dirty(w);
                     }
                 }
             }
@@ -1575,7 +1568,7 @@ impl Gc {
     /// one task; the global-roots table is claimed in fixed-size chunks.
     /// Stack snapshotting credits `root_slots` inside [`Gc::scan_stack`];
     /// the leader credits the global slots here, mirroring
-    /// [`Gc::scan_global_roots`].
+    /// [`Gc::scan_global_roots_once`].
     fn sched_scan_roots(&self, session: &Session<'_>, mutators: &[Arc<MutatorShared>]) {
         const GLOBAL_CHUNK: usize = 256;
         let globals: Vec<u64> = self.global_roots.lock().clone();
@@ -1614,13 +1607,15 @@ impl Gc {
     }
 
     /// §2.2 final card cleaning: drains the concurrent registry and
-    /// freshly dirty cards as a bucket. Returns `(cards_left, ms)` where
+    /// freshly dirty cards as a bucket. Registered cards whose §5.3
+    /// handshake timed out are sound to clean here: stopping the world
+    /// ordered every mutator's stores. Returns `(cards_left, ms)` where
     /// `ms` is the single-worker modelled cost and `cards_left` is
     /// Table 2's "Cards Left" observation: cards still registered for
     /// rescanning plus dirty cards past the halted concurrent cleaner's
     /// snapshot cursor (cards before the cursor were re-dirtied *after*
     /// cleaning, not left behind by it).
-    fn stw_clean_cards(&self, session: &Session<'_>, fresh: bool) -> (u64, f64) {
+    fn stw_clean_cards(&self, session: &Session<'_>, cost: &CostModel) -> (u64, f64) {
         let ncards = self.heap.cards().len();
         // Halt the concurrent cleaner and take over its registry.
         let (mut to_clean, cursor_at_halt) = {
@@ -1640,19 +1635,12 @@ impl Gc {
             .filter(|&&card| card >= cursor_at_halt)
             .count() as u64;
         to_clean.extend(fresh_dirty);
-
-        if fresh {
-            // Baseline/fresh cycle: the card table content predates the
-            // cycle; nothing is marked yet, so cleaning is a no-op.
-            return (0, 0.0);
-        }
         let cards_left = registry_left + unreached;
         let scanned_bytes = self.sched_clean_cards(session, &to_clean);
         // Final cleaning contributes to the `M` observation too.
         self.counters
             .card_scanned_bytes
             .fetch_add(scanned_bytes, Ordering::Relaxed);
-        let cost = &self.config.cost;
         let ms = cost.card_ms(ncards as u64, to_clean.len() as u64) + cost.trace_ms(scanned_bytes);
         (cards_left, ms)
     }
@@ -1889,6 +1877,57 @@ mod tests {
         for pair in phases.windows(2) {
             assert_eq!(pair[0].end_ns, pair[1].begin_ns, "{pair:?}");
         }
+        drop(m);
+        gc.shutdown();
+    }
+
+    /// A §5.3 handshake that times out leaves its snapshot's cards
+    /// registered and uncleaned: no fence on the collector's side orders
+    /// a silent mutator's stores. Once that mutator is gone, every
+    /// running mutator has acked, and the next quantum cleans the cards
+    /// concurrently. The silent mutator is dropped before any pause,
+    /// whose rendezvous would wait for it.
+    #[test]
+    fn timed_out_handshake_keeps_its_cards_registered_until_every_mutator_acks() {
+        let mut cfg = GcConfig::with_heap_bytes(4 << 20);
+        cfg.background_threads = 0;
+        cfg.stw_workers = 1;
+        let gc = Gc::new(cfg);
+        let mut m = gc.register_mutator();
+        let shape = ObjectShape::new(1, 0, 0);
+        let holder = m.alloc(shape).unwrap();
+        m.root_push(Some(holder));
+        m.collect(); // retires the cache: the holder is published
+        let young = m.alloc(shape).unwrap();
+        // Registered on this thread, it never polls, acks or parks.
+        let silent = gc.register_mutator();
+        let shared = Arc::clone(&gc.mutators.lock()[0]);
+        {
+            let _coordinator = gc.coordinator.lock();
+            gc.begin_cycle_locked(CycleKind::Full, Some(&shared));
+        }
+        m.write_ref(holder, 0, Some(young));
+        assert!(gc.heap.cards().is_dirty(holder.card()));
+        let quantum = || {
+            let mut buf = WorkBuffer::new(&gc.pool);
+            let done = gc.clean_cards_quantum(&mut buf, &mut Vec::new(), Some(&shared));
+            buf.finish();
+            done
+        };
+        let cleaned = || gc.counters.cards_cleaned_conc.load(Ordering::Relaxed);
+        quantum();
+        assert_eq!(
+            Vec::from(gc.card_state.lock().registry.clone()),
+            vec![holder.card()],
+            "the timed-out snapshot stays registered"
+        );
+        assert_eq!(cleaned(), 0, "no card cleaned before every ack");
+        drop(silent);
+        assert!(quantum() > 0);
+        assert!(gc.card_state.lock().registry.is_empty());
+        assert_eq!(cleaned(), 1, "cleaned concurrently once acked");
+        m.collect();
+        assert_eq!(m.read_ref(holder, 0), Some(young));
         drop(m);
         gc.shutdown();
     }

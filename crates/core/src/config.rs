@@ -27,7 +27,10 @@ pub enum SweepMode {
 
 /// Full collector configuration. Defaults mirror the paper's measurement
 /// setup (§6): tracing rate 8.0, 1000 packets of 493 entries, 4 background
-/// threads, one concurrent card-cleaning pass.
+/// threads, one concurrent card-cleaning pass. Only what a workload,
+/// benchmark or deployment varies is a field; the paper's fixed §3
+/// pacing constants and the collector's batch sizes and timeouts are
+/// named constants beside their one user.
 #[derive(Clone, Debug)]
 pub struct GcConfig {
     /// Heap geometry and allocation parameters.
@@ -38,15 +41,6 @@ pub struct GcConfig {
     pub mode: CollectorMode,
     /// Desired allocator tracing rate `K0` (§3.1; "typically 5 to 10").
     pub tracing_rate: f64,
-    /// Cap on the effective tracing rate, as a multiple of `K0`
-    /// (`Kmax`, "typically 2 K0").
-    pub max_rate_factor: f64,
-    /// Corrective term `C` applied when tracing falls behind schedule
-    /// (§3.2: `K + (K - K0) * C`).
-    pub corrective_factor: f64,
-    /// Exponential smoothing weight for the `L`, `M`, and `Best`
-    /// predictions (weight of the newest observation).
-    pub smoothing_alpha: f64,
     /// Number of low-priority background tracing threads (§3).
     pub background_threads: usize,
     /// Worker threads (including the coordinator) for the parallel
@@ -74,12 +68,6 @@ pub struct GcConfig {
     /// straggler fence sweep — the A/B arm the pause bench calls `lazy`
     /// (vs `lazy+bg`).
     pub bg_sweep: bool,
-    /// Chunks the background sweeper drains per quantum between
-    /// safepoint polls.
-    pub bg_sweep_batch: usize,
-    /// Batch size (cards) for a concurrent card-cleaning quantum; each
-    /// snapshot batch costs one handshake.
-    pub card_clean_batch: usize,
     /// Objects popped per tracing batch (at least 1). Concurrently it is
     /// the §5.2 batch whose allocation bits are tested before one fence;
     /// the stop-the-world drain pops the same batch. The batch leaves its
@@ -91,24 +79,6 @@ pub struct GcConfig {
     /// Bytes a background thread traces per quantum between safepoint
     /// polls.
     pub background_quantum: usize,
-    /// The pause cost model.
-    pub cost: CostModel,
-    /// Initial guess for `L` (bytes to trace concurrently) as a fraction
-    /// of the heap, before any cycle history exists.
-    pub initial_live_fraction: f64,
-    /// Initial guess for `M` (bytes on dirty cards) as a fraction of the
-    /// heap.
-    pub initial_dirty_fraction: f64,
-    /// Escalation ladder rungs 1-2: full collections attempted before
-    /// declaring [`crate::GcError::OutOfMemory`].
-    pub alloc_full_collections: u32,
-    /// Hard cap on total slow-path iterations per allocation request —
-    /// the last-resort livelock guard should every rung keep reporting
-    /// (bogus) progress.
-    pub alloc_iteration_cap: u32,
-    /// How long the collector waits for every mutator to ack a §5.3 card
-    /// handshake before falling back to a global fence.
-    pub handshake_timeout: std::time::Duration,
     /// Soft memory-pressure limit in bytes of *used* (committed minus
     /// free) heap. Crossing it makes the next allocation slow path kick
     /// off an emergency collection cycle, bypassing the pacer's own
@@ -131,25 +101,14 @@ impl Default for GcConfig {
             pool: PoolConfig::default(),
             mode: CollectorMode::Concurrent,
             tracing_rate: 8.0,
-            max_rate_factor: 2.0,
-            corrective_factor: 0.5,
-            smoothing_alpha: 0.4,
             background_threads: 4,
             stw_workers: 4,
             pin_workers: false,
             card_clean_passes: 1,
             sweep: SweepMode::Eager,
             bg_sweep: true,
-            bg_sweep_batch: 8,
-            card_clean_batch: 2048,
             trace_batch: 64,
             background_quantum: 64 << 10,
-            cost: CostModel::default(),
-            initial_live_fraction: 0.35,
-            initial_dirty_fraction: 0.02,
-            alloc_full_collections: 3,
-            alloc_iteration_cap: 96,
-            handshake_timeout: std::time::Duration::from_micros(500),
             soft_limit_bytes: 0,
             alloc_stall_deadline: std::time::Duration::from_millis(50),
         }
@@ -173,18 +132,14 @@ impl GcConfig {
             ..GcConfig::default()
         }
     }
-
-    /// `Kmax` in absolute terms.
-    pub fn kmax(&self) -> f64 {
-        self.tracing_rate * self.max_rate_factor
-    }
 }
 
 /// Converts observed collection *work* into deterministic pause
 /// milliseconds, calibrated to the paper's 4-way 550 MHz testbed so
 /// reproduced tables land in a comparable range. Wall-clock timing is
 /// recorded alongside; the work model is what the benches print by
-/// default because it is independent of the host's core count.
+/// default because it is independent of the host's core count. The
+/// collector always models with [`CostModel::default`].
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct CostModel {
     /// Tracing cost per byte scanned (ns). The paper's STW marker covers
@@ -268,7 +223,6 @@ mod tests {
         assert_eq!(c.pool.capacity, 493);
         assert_eq!(c.background_threads, 4);
         assert_eq!(c.card_clean_passes, 1);
-        assert_eq!(c.kmax(), 16.0);
     }
 
     #[test]

@@ -278,6 +278,14 @@ impl Mutator {
     }
 }
 
+/// Escalation rungs 1-2: collections one allocation request runs before
+/// the heap may grow. §2.2 runs one when an allocation fails; retrying
+/// before growing is this collector's ladder, not the paper's.
+const ALLOC_FULL_COLLECTIONS: u32 = 3;
+/// Slow-path iterations per allocation request before a typed OOM: the
+/// ladder's livelock guard (not from the paper).
+const ALLOC_ITERATION_CAP: u32 = 96;
+
 /// Per-request state of the allocation-failure escalation ladder
 /// (finish concurrent phase → full stop-the-world → heap growth → one
 /// bounded backpressure stall → OOM), with per-rung telemetry and a hard
@@ -319,7 +327,7 @@ impl Escalation {
         if self.iterations > 1 {
             gc.tel.on_alloc_retry();
         }
-        if self.iterations > gc.config.alloc_iteration_cap {
+        if self.iterations > ALLOC_ITERATION_CAP {
             gc.tel.on_alloc_oom();
             return Err(self.final_error(gc, requested_bytes));
         }
@@ -327,17 +335,18 @@ impl Escalation {
     }
 
     /// Rungs 1-4: finishes the concurrent phase (if one is running) or
-    /// runs a full stop-the-world collection; once the configured number
-    /// of full collections has proven futile, tries to grow the heap by
-    /// one segment (rung 3), then runs the one bounded backpressure
-    /// stall (rung 4), and only then errors out with a typed OOM.
+    /// runs a full stop-the-world collection; once
+    /// [`ALLOC_FULL_COLLECTIONS`] collections have proven futile, tries
+    /// to grow the heap by one segment (rung 3), then runs the one
+    /// bounded backpressure stall (rung 4), and only then errors out
+    /// with a typed OOM.
     fn collect_rung(
         &mut self,
         gc: &Gc,
         shared: &Arc<MutatorShared>,
         requested_bytes: usize,
     ) -> Result<(), GcError> {
-        if self.collections >= gc.config.alloc_full_collections {
+        if self.collections >= ALLOC_FULL_COLLECTIONS {
             // Rung 3: grow the heap by one segment. Fallible — the hard
             // limit ([`HeapConfig::max_heap_bytes`]) or an injected
             // `heap.segment_reserve` fault may refuse; then the request

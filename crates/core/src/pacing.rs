@@ -25,9 +25,21 @@
 
 use crate::config::GcConfig;
 
-/// Exponential smoothing: `alpha` weights the newest observation.
-fn smooth(est: f64, observed: f64, alpha: f64) -> f64 {
-    est * (1.0 - alpha) + observed * alpha
+/// `Kmax` over `K0` (§3.1: `Kmax` is "typically 2 K0").
+const MAX_RATE_FACTOR: f64 = 2.0;
+/// The corrective term `C` when tracing is behind (§3.2: `K + (K - K0) C`).
+const CORRECTIVE_FACTOR: f64 = 0.5;
+/// The newest observation's weight in the smoothing of `L`, `M` and `B`
+/// (§3.1, §3.2).
+const SMOOTHING_ALPHA: f64 = 0.4;
+/// The guess for `L` (§3.1), a fraction of the heap, before any history.
+const INITIAL_LIVE_FRACTION: f64 = 0.35;
+/// The guess for `M` (§3.1), a fraction of the heap, before any history.
+const INITIAL_DIRTY_FRACTION: f64 = 0.02;
+
+/// Exponential smoothing that weights `observed` by [`SMOOTHING_ALPHA`].
+fn smooth(est: f64, observed: f64) -> f64 {
+    est * (1.0 - SMOOTHING_ALPHA) + observed * SMOOTHING_ALPHA
 }
 
 /// A consistent snapshot of the pacer's §3 estimates, taken under the
@@ -71,9 +83,6 @@ struct Predictions {
 #[derive(Clone, Debug)]
 pub struct Pacer {
     k0: f64,
-    kmax: f64,
-    corrective: f64,
-    alpha: f64,
     /// Predictions of bytes traced during the concurrent phase (`L`) and
     /// of bytes to scan on dirty cards (`M`), indexed by [`CycleKind`]:
     /// a minor cycle traces its young survivors, not the resident set.
@@ -89,18 +98,15 @@ pub struct Pacer {
 
 impl Pacer {
     /// Creates a pacer from the collector configuration and heap size.
-    /// Both cycle kinds start from the configured guesses; the first
-    /// cycle is full.
+    /// Both cycle kinds start from the same guesses; the first cycle is
+    /// full.
     pub fn new(config: &GcConfig, heap_bytes: usize) -> Pacer {
         let guess = Predictions {
-            l: heap_bytes as f64 * config.initial_live_fraction,
-            m: heap_bytes as f64 * config.initial_dirty_fraction,
+            l: heap_bytes as f64 * INITIAL_LIVE_FRACTION,
+            m: heap_bytes as f64 * INITIAL_DIRTY_FRACTION,
         };
         Pacer {
             k0: config.tracing_rate,
-            kmax: config.kmax(),
-            corrective: config.corrective_factor,
-            alpha: config.smoothing_alpha,
             predictions: [guess; 2],
             kind: CycleKind::Full,
             b_est: 0.0,
@@ -161,11 +167,12 @@ impl Pacer {
     /// Returns 0 when the background threads are keeping up by
     /// themselves.
     pub fn tracing_rate(&self, traced: u64, free: u64) -> f64 {
+        let kmax = self.k0 * MAX_RATE_FACTOR;
         let free = (free as f64).max(1.0);
         let mut k = (self.m_est() + self.l_est() - traced as f64) / free;
         if k < 0.0 {
             // L or M underestimated: go as fast as allowed.
-            k = self.kmax;
+            k = kmax;
         }
         // §3.2: credit the background threads.
         if k < self.b_est {
@@ -174,9 +181,9 @@ impl Pacer {
         k -= self.b_est;
         // §3.2: corrective term when behind schedule.
         if k > self.k0 {
-            k += (k - self.k0) * self.corrective;
+            k += (k - self.k0) * CORRECTIVE_FACTOR;
         }
-        k.min(self.kmax)
+        k.min(kmax)
     }
 
     /// Work quota (bytes of tracing) for an increment that allocated
@@ -193,17 +200,16 @@ impl Pacer {
             return;
         }
         let b = bg_traced as f64 / allocated as f64;
-        self.b_est = smooth(self.b_est, b, self.alpha);
+        self.b_est = smooth(self.b_est, b);
     }
 
     /// Feeds a finished cycle's actual `L` (bytes traced concurrently)
     /// and `M` (bytes scanned on dirty cards) to refine the predictions
     /// of its kind.
     pub fn end_cycle(&mut self, actual_l: u64, actual_m: u64) {
-        let alpha = self.alpha;
         let p = &mut self.predictions[self.kind as usize];
-        p.l = smooth(p.l, actual_l as f64, alpha);
-        p.m = smooth(p.m, actual_m as f64, alpha).max(1.0);
+        p.l = smooth(p.l, actual_l as f64);
+        p.m = smooth(p.m, actual_m as f64).max(1.0);
         // A fresh cycle starts with no background history bias; keep Best
         // (it tracks machine idle capacity, not cycle shape).
     }

@@ -356,7 +356,8 @@ impl GcTelemetry {
         self.handshake_acks.inc();
     }
 
-    /// A card handshake timed out into the global-fence fallback.
+    /// A card handshake timed out: its cards wait for the late acks or
+    /// the pause.
     pub(crate) fn on_handshake_timeout(&self) {
         self.handshake_timeouts.inc();
     }

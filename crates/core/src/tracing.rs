@@ -3,6 +3,7 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mcgc_heap::ObjectRef;
 use mcgc_membar::{acquire_fence, full_fence, FenceKind};
@@ -26,6 +27,15 @@ pub(crate) enum TraceRole {
 /// sustained overflow means the pool is exhausted, and hammering it with
 /// more push attempts only steals cycles from whoever is draining it.
 const OVERFLOW_BACKOFF_PERIOD: u64 = 32;
+
+/// Cards one concurrent card-cleaning quantum snapshots at a time (§5.3
+/// step 1); each snapshot that finds a dirty card costs one handshake.
+const CARD_CLEAN_BATCH: usize = 2048;
+
+/// How long a §5.3 handshake waits for every running mutator's ack.
+/// The cards of a snapshot that times out stay registered until the late
+/// acks arrive, or the pause cleans them.
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_micros(500);
 
 impl Gc {
     // ------------------------------------------------------------------
@@ -289,11 +299,11 @@ impl Gc {
     // card cleaning (§2.1, §5.3)
     // ------------------------------------------------------------------
 
-    /// One card-cleaning quantum: refills the registry by snapshotting a
-    /// slice of the card table (one handshake per batch, §5.3), then
-    /// cleans a few registered cards. Returns bytes of work done (0 =
-    /// no cards left this pass). `grey` is scratch, empty again on
-    /// return.
+    /// One card-cleaning quantum: cleans a few registered cards once
+    /// every running mutator has acked their snapshot's handshake, or
+    /// refills the registry by snapshotting a slice of the card table
+    /// (one handshake per slice, §5.3). Returns bytes of work done (0 =
+    /// no card cleanable now). `grey` is scratch, empty again on return.
     pub(crate) fn clean_cards_quantum(
         &self,
         buf: &mut WorkBuffer<'_, ObjectRef>,
@@ -303,18 +313,21 @@ impl Gc {
         let ncards = self.heap.cards().len();
         let take: Vec<usize> = loop {
             let mut cs = self.card_state.lock();
-            if cs.done {
-                return 0;
-            }
-            if !cs.registry.is_empty() {
+            // §5.3 step 3 only after step 2: a collector-side fence does
+            // not drain a mutator's store buffer, so cards whose handshake
+            // timed out wait for the late acks here, or for the pause.
+            if !cs.registry.is_empty() && self.handshake_acked(cs.epoch) {
                 let n = cs.registry.len().min(16);
                 break cs.registry.drain(..n).collect();
+            }
+            if cs.done {
+                return 0;
             }
             // §5.3 step 1: register dirty cards from the next slice and
             // clear their indicators.
             let mut found = Vec::new();
             while found.is_empty() && cs.cursor < ncards {
-                let end = (cs.cursor + self.config.card_clean_batch).min(ncards);
+                let end = (cs.cursor + CARD_CLEAN_BATCH).min(ncards);
                 self.heap.cards().snapshot_dirty(cs.cursor, end, &mut found);
                 cs.cursor = end;
             }
@@ -328,19 +341,16 @@ impl Gc {
                 cs.done = true;
                 return 0;
             }
-            // §5.3 step 2: force mutators to fence before the registered
-            // cards are cleaned. A real rendezvous: every mutator acks
-            // (with a fence) at its next safepoint poll, or the collector
-            // times out into a global-fence fallback. The snapshot cards
-            // are still thread-local here, so the registry lock is
-            // released across the wait: a peer stuck on it could never
-            // poll, which would turn every rendezvous into a timeout.
+            // §5.3 step 2: every mutator fences and acks at its next
+            // safepoint poll. The snapshot cards are still thread-local
+            // here, so the registry lock is released across the wait: a
+            // peer stuck on it could never poll, which would turn every
+            // rendezvous into a timeout.
             drop(cs);
-            self.card_handshake(requester);
-            self.counters.handshakes.fetch_add(1, Ordering::Relaxed);
-            self.card_state.lock().registry.extend(found);
-            // Loop back: drain from the registry (possibly racing other
-            // cleaners for these cards, which is fine — they fenced too).
+            let epoch = self.card_handshake(requester);
+            self.register_cards(found, epoch);
+            // Loop back: clean from the registry once acked (possibly
+            // racing other cleaners for these cards, which is fine).
         };
         let mut bytes = 0;
         for &card in &take {
@@ -380,47 +390,46 @@ impl Gc {
         if old.is_empty() {
             return;
         }
-        self.card_handshake(requester);
-        self.counters.handshakes.fetch_add(1, Ordering::Relaxed);
-        self.card_state.lock().registry.extend(old);
+        let epoch = self.card_handshake(requester);
+        self.register_cards(old, epoch);
+    }
+
+    /// Registers snapshot `cards` whose handshake advanced to `epoch`.
+    fn register_cards(&self, cards: Vec<usize>, epoch: u64) {
+        let mut cs = self.card_state.lock();
+        cs.registry.extend(cards);
+        cs.epoch = cs.epoch.max(epoch);
     }
 
     /// §5.3 step 2 as a real rendezvous: advances the handshake epoch and
-    /// waits (bounded by `config.handshake_timeout`) for every registered
-    /// mutator to fence and ack at its next safepoint poll. On timeout —
-    /// a mutator blocked in think time, or one whose ack a fault plan
-    /// swallowed — the collector falls back to a global full fence, which
-    /// on the host orders the snapshot by itself; the laggard completes
-    /// the protocol at its next poll. Returns true if everyone acked.
-    pub(crate) fn card_handshake(&self, requester: Option<&Arc<MutatorShared>>) -> bool {
-        // Span arg: 1 = every mutator acked, 0 = timed out into the
-        // global-fence fallback.
+    /// waits, at most [`HANDSHAKE_TIMEOUT`], until every running mutator
+    /// has fenced and acked it at a safepoint poll
+    /// ([`Gc::handshake_acked`]). Returns the epoch: the snapshot's cards
+    /// are cleaned concurrently only once it is acked. On timeout — a
+    /// descheduled mutator, or one whose ack a fault plan swallowed —
+    /// the laggard acks at its next poll, or the pause cleans the cards
+    /// after stopping the world.
+    pub(crate) fn card_handshake(&self, requester: Option<&Arc<MutatorShared>>) -> u64 {
+        // Span arg: 1 = every mutator acked, 0 = timed out.
         let mut hs_span = self.tel.hub.spans().span(SpanKind::Handshake, 0);
+        self.counters.handshakes.fetch_add(1, Ordering::Relaxed);
         let epoch = self.handshake_epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        // The collector side of the rendezvous fences unconditionally;
-        // the requesting mutator is inside this call, so ack for it.
+        // The requesting mutator is inside this call: fence and ack for
+        // it.
         full_fence(FenceKind::CardHandshake);
         if let Some(m) = requester {
             m.handshake_seen.store(epoch, Ordering::Release);
         }
-        let deadline = std::time::Instant::now() + self.config.handshake_timeout;
+        let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
         loop {
-            // A mutator parked in a safe region has no unpublished writes
-            // (its `safe_parked` release store ordered them) and cannot
-            // poll until it wakes — count it as implicitly acked.
-            let pending =
-                self.mutators.lock().iter().any(|m| {
-                    m.handshake_seen.load(Ordering::Acquire) < epoch && !m.is_safe_parked()
-                });
-            if !pending {
+            if self.handshake_acked(epoch) {
                 self.tel.on_handshake_acked();
                 hs_span.set_arg(1);
-                return true;
+                return epoch;
             }
-            if std::time::Instant::now() >= deadline {
-                full_fence(FenceKind::CardHandshake);
+            if Instant::now() >= deadline {
                 self.tel.on_handshake_timeout();
-                return false;
+                return epoch;
             }
             // Two mutators can rendezvous concurrently (the registry lock
             // is not held here); ack the peer's epoch while waiting for
@@ -430,6 +439,18 @@ impl Gc {
             }
             std::thread::yield_now();
         }
+    }
+
+    /// Whether every running mutator has acked handshake `epoch`: fenced
+    /// at a safepoint poll after the epoch advanced. A mutator parked in
+    /// a safe region counts as acked: it has no unordered writes (its
+    /// `safe_parked` release store ordered them), and it acks before it
+    /// unparks.
+    fn handshake_acked(&self, epoch: u64) -> bool {
+        self.mutators
+            .lock()
+            .iter()
+            .all(|m| m.handshake_seen.load(Ordering::Acquire) >= epoch || m.is_safe_parked())
     }
 
     /// §5.3 step 3: cleans one registered card — rescans the marked
@@ -510,8 +531,20 @@ impl Gc {
         self.push_roots(buf, &mut refs);
     }
 
-    /// Scans the global root table.
-    pub(crate) fn scan_global_roots(&self, buf: &mut WorkBuffer<'_, ObjectRef>) {
+    /// Claims this cycle's concurrent scan of the global root table and
+    /// scans it: the first tracer to ask does (§2.1 scans each root set
+    /// once per cycle). Returns whether this call scanned it.
+    fn scan_global_roots_once(&self, buf: &mut WorkBuffer<'_, ObjectRef>) -> bool {
+        let cycle = self.cycle();
+        let seen = self.global_scanned_cycle.load(Ordering::Relaxed);
+        if seen >= cycle
+            || self
+                .global_scanned_cycle
+                .compare_exchange(seen, cycle, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return false;
+        }
         let mut roots: Vec<ObjectRef> = {
             let g = self.global_roots.lock();
             self.counters
@@ -520,6 +553,7 @@ impl Gc {
             g.iter().filter_map(|&raw| ObjectRef::decode(raw)).collect()
         };
         self.push_roots(buf, &mut roots);
+        true
     }
 
     /// Concurrent once-per-cycle scan of the calling mutator's own stack
@@ -534,33 +568,18 @@ impl Gc {
             self.scan_stack(m, buf);
         }
         // First tracer also picks up the global roots.
-        let seen = self.global_scanned_cycle.load(Ordering::Relaxed);
-        if seen < cycle
-            && self
-                .global_scanned_cycle
-                .compare_exchange(seen, cycle, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.scan_global_roots(buf);
-        }
+        self.scan_global_roots_once(buf);
     }
 
     /// §2.1: threads that never allocate have their stacks scanned when
     /// no other tracing work remains. Scans at most one; returns true if
     /// it scanned.
     pub(crate) fn scan_one_unscanned_stack(&self, buf: &mut WorkBuffer<'_, ObjectRef>) -> bool {
-        let cycle = self.cycle();
         // Global roots count as a "stack" here too.
-        let seen = self.global_scanned_cycle.load(Ordering::Relaxed);
-        if seen < cycle
-            && self
-                .global_scanned_cycle
-                .compare_exchange(seen, cycle, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-        {
-            self.scan_global_roots(buf);
+        if self.scan_global_roots_once(buf) {
             return true;
         }
+        let cycle = self.cycle();
         let victim = {
             let mutators = self.mutators.lock();
             mutators

@@ -31,9 +31,6 @@ pub struct HeapConfig {
     /// Objects at least this many bytes are allocated directly from the
     /// free list and fenced individually.
     pub large_object_bytes: usize,
-    /// Free runs shorter than this many granules are left as dark matter
-    /// instead of going on the free list.
-    pub min_free_extent_granules: usize,
     /// Number of free-list shards mutator refills spread over: `0` picks
     /// one per available core, `1` selects the single-lock baseline
     /// allocator (the pre-sharding design, kept for A/B benchmarking).
@@ -54,7 +51,6 @@ impl Default for HeapConfig {
             heap_bytes: 64 << 20,
             cache_bytes: 32 << 10,
             large_object_bytes: 8 << 10,
-            min_free_extent_granules: 2,
             alloc_shards: 0,
             segment_bytes: 0,
             max_heap_bytes: 0,
@@ -1224,7 +1220,6 @@ mod tests {
             heap_bytes: 1 << 20,
             cache_bytes: 4 << 10,
             large_object_bytes: 1 << 10,
-            min_free_extent_granules: 2,
             alloc_shards: 4,
             segment_bytes: 0,
             max_heap_bytes: 0,
@@ -1237,7 +1232,6 @@ mod tests {
             max_heap_bytes: 2 << 20,
             cache_bytes: 4 << 10,
             large_object_bytes: 1 << 10,
-            min_free_extent_granules: 2,
             alloc_shards: 4,
             segment_bytes: 0,
         })

@@ -218,7 +218,6 @@ mod tests {
             heap_bytes: 1 << 20,
             cache_bytes: 8 << 10,
             large_object_bytes: 4 << 10,
-            min_free_extent_granules: 2,
             alloc_shards: 4,
             ..HeapConfig::default()
         });

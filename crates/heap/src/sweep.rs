@@ -56,6 +56,11 @@ use crate::object::{Header, ObjectRef};
 /// collector's sweep epochs claim, eager or lazy.
 pub const SWEEP_CHUNK_GRANULES: usize = 16 << 10;
 
+/// Free runs shorter than this many granules are left as dark matter
+/// instead of going on the free list. The substrate's choice, not a
+/// constant of the paper.
+pub const MIN_FREE_EXTENT_GRANULES: usize = 2;
+
 /// The result of sweeping one chunk.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct ChunkSweep {
@@ -68,7 +73,8 @@ struct ChunkSweep {
     live_granules: usize,
     /// Number of live objects starting in this chunk.
     live_objects: usize,
-    /// Granules left as dark matter (runs below the configured minimum).
+    /// Granules left as dark matter (runs below
+    /// [`MIN_FREE_EXTENT_GRANULES`]).
     dark_granules: usize,
 }
 
@@ -84,7 +90,6 @@ struct ChunkSweep {
 /// neighbouring chunk's bits alone.
 fn sweep_ranges(heap: &Heap, ranges: &[(usize, usize)]) -> ChunkSweep {
     let mut out = ChunkSweep::default();
-    let min_extent = heap.config().min_free_extent_granules;
     let table = heap.segments();
     for &(rs, re) in ranges {
         // Carry-in: a live object starting before the range may span into
@@ -133,7 +138,7 @@ fn sweep_ranges(heap: &Heap, ranges: &[(usize, usize)]) -> ChunkSweep {
                     let size = header.size_granules as usize;
                     let obj = base + off;
                     debug_assert!(obj >= cursor, "mark at granule {obj} inside a live object");
-                    out.note_gap(cursor, obj, min_extent);
+                    out.note_gap(cursor, obj);
                     out.live_objects += 1;
                     out.live_granules += size;
                     cursor = obj + size;
@@ -141,20 +146,20 @@ fn sweep_ranges(heap: &Heap, ranges: &[(usize, usize)]) -> ChunkSweep {
             }
             g = base + hi;
         }
-        out.note_gap(cursor, re, min_extent);
+        out.note_gap(cursor, re);
     }
     out
 }
 
 impl ChunkSweep {
     /// Records the dead run `[start, end)` (empty when `end <= start`):
-    /// a free extent, or dark matter below `min_extent`.
-    fn note_gap(&mut self, start: usize, end: usize, min_extent: usize) {
+    /// a free extent, or dark matter below [`MIN_FREE_EXTENT_GRANULES`].
+    fn note_gap(&mut self, start: usize, end: usize) {
         if end <= start {
             return;
         }
         let len = end - start;
-        if len >= min_extent {
+        if len >= MIN_FREE_EXTENT_GRANULES {
             self.extents.push(Extent { start, len });
         } else {
             self.dark_granules += len;
@@ -801,7 +806,6 @@ mod tests {
             heap_bytes: 1 << 20,
             cache_bytes: 8 << 10,
             large_object_bytes: 4 << 10,
-            min_free_extent_granules: 2,
             alloc_shards: 4,
             ..HeapConfig::default()
         });
@@ -908,7 +912,6 @@ mod tests {
             heap_bytes: 1 << 20,
             cache_bytes: 8 << 10,
             large_object_bytes: 256,
-            min_free_extent_granules: 2,
             alloc_shards: 4,
             ..HeapConfig::default()
         });
@@ -1047,7 +1050,6 @@ mod tests {
             max_heap_bytes: 2 << 20,
             cache_bytes: 8 << 10,
             large_object_bytes: 4 << 10,
-            min_free_extent_granules: 2,
             alloc_shards: 4,
             segment_bytes: 0,
         })
@@ -1204,7 +1206,6 @@ mod tests {
                     max_heap_bytes,
                     cache_bytes: 8 << 10,
                     large_object_bytes: 4 << 10,
-                    min_free_extent_granules: 2,
                     alloc_shards: 4,
                     segment_bytes,
                 });

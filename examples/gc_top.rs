@@ -156,7 +156,7 @@ fn main() {
         g("gc_bg_tracers_alive"),
     );
     println!(
-        "handshakes   : {} acked, {} timed out into the global fence",
+        "handshakes   : {} acked, {} timed out (cards left registered)",
         g("gc_handshake_acks_total"),
         g("gc_handshake_timeouts_total"),
     );

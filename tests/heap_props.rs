@@ -6,7 +6,7 @@
 
 use mcgc::heap::{
     sweep_serial, AllocCache, Bitmap, Extent, FreeList, Heap, HeapConfig, ObjectRef, ObjectShape,
-    ShardedFreeList, SweepEpoch, SweepSource,
+    ShardedFreeList, SweepEpoch, SweepSource, MIN_FREE_EXTENT_GRANULES,
 };
 use mcgc::workloads::rng::SmallRng;
 
@@ -97,7 +97,6 @@ fn marked_heap(marks: &[bool]) -> (Heap, Vec<(ObjectRef, usize)>) {
         heap_bytes: 1 << 20,
         cache_bytes: 4 << 10,
         large_object_bytes: 2 << 10,
-        min_free_extent_granules: 2,
         alloc_shards: 4,
         ..HeapConfig::default()
     });
@@ -191,12 +190,8 @@ fn sweep_conserves_heap() {
                 heap.granules() - 1,
                 "seed {seed} chunk {chunk}"
             );
-            let (want, want_dark) = reference_free(
-                &live,
-                heap.granules(),
-                chunk,
-                heap.config().min_free_extent_granules,
-            );
+            let (want, want_dark) =
+                reference_free(&live, heap.granules(), chunk, MIN_FREE_EXTENT_GRANULES);
             assert_eq!(
                 heap.free_list().extents_sorted(),
                 want,
@@ -249,7 +244,6 @@ fn sweep_conserves_heap_across_segments() {
             heap_bytes: 256 << 10,
             cache_bytes: 4 << 10,
             large_object_bytes: 2 << 10,
-            min_free_extent_granules: 2,
             alloc_shards: 4,
             segment_bytes: 32 << 10,
             max_heap_bytes: 1 << 20,
@@ -458,7 +452,6 @@ fn concurrent_refill_retire_stress() {
         heap_bytes: 8 << 20,
         cache_bytes: 4 << 10,
         large_object_bytes: 1 << 10,
-        min_free_extent_granules: 2,
         alloc_shards: 4,
         ..HeapConfig::default()
     });
